@@ -24,7 +24,8 @@
 #         or unlabeled overload shedding), or when a BM_ShardScale_* sharded run's
 #         fingerprint diverges from serial (always) or misses its speedup
 #         floor (>= 2x at 4 shards, >= 2.5x at 8 — only on machines with
-#         that many cores) — the CI bench-regression gate.
+#         that many cores), or when BM_ChordNextHop costs more than 3x
+#         BM_BambooNextHop in the same run — the CI bench-regression gate.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -286,6 +287,23 @@ def shard_scale_section():
 
 shard_scale = shard_scale_section()
 
+# Overlay next-hop cost: Chord's binary search over its sorted route array
+# against Bamboo's prefix-table lookup, both timed in this same run (a
+# within-run ratio, so host speed cancels). Gated below at <= 3x.
+def next_hop_section():
+    out = {}
+    for n in (1024, 16384):
+        chord = by_name.get("BM_ChordNextHop/%d" % n)
+        bamboo = by_name.get("BM_BambooNextHop/%d" % n)
+        if chord and bamboo and bamboo.get("cpu_time"):
+            out["chord_ns_%d" % n] = round(chord["cpu_time"], 1)
+            out["bamboo_ns_%d" % n] = round(bamboo["cpu_time"], 1)
+            out["chord_vs_bamboo_%d" % n] = round(
+                chord["cpu_time"] / bamboo["cpu_time"], 2)
+    return out
+
+next_hop = next_hop_section()
+
 ratios = {
     "shj_insert_with_matches": ratio(
         "BM_ShjInsertWithMatches_SharedPayload/4096",
@@ -312,6 +330,7 @@ out = {
     "partition_tolerance": partition,
     "query_robustness": robustness,
     "shard_scale": shard_scale,
+    "next_hop": next_hop,
     "join_chain": chain,
     "fetch_coalescing": fetch,
     "rehash_queues": publish,
@@ -331,6 +350,7 @@ print("  churn scenarios:", churn)
 print("  partition tolerance:", partition)
 print("  query robustness:", robustness)
 print("  shard scale:", shard_scale)
+print("  next hop:", next_hop)
 for label, s in (("join chain", chain), ("fetch coalescing", fetch),
                  ("rehash queues", publish)):
     if "message_reduction" in s:
@@ -539,6 +559,17 @@ for size, entry in sorted(shard_scale.items()):
             failed.append("shard_scale[%s].speedup_%s: %.2fx < %sx" %
                           (size, label, speedup, floor))
 
+# Next-hop gate: Chord's NextHop within 3x of Bamboo's at both ring sizes,
+# timed in the same run.
+next_hop = bench.get("next_hop", {})
+for n in (1024, 16384):
+    value = next_hop.get("chord_vs_bamboo_%d" % n)
+    if value is None:
+        failed.append("next_hop.chord_vs_bamboo_%d: missing (bench did not "
+                      "run?)" % n)
+    elif value > 3.0:
+        failed.append("next_hop.chord_vs_bamboo_%d: %.2fx > 3x" % (n, value))
+
 if failed:
     print("bench-regression gate FAILED:")
     for line in failed:
@@ -550,7 +581,8 @@ print("bench-regression gate passed: speedups >= 2x, transport and "
       "floors held (split-brain recall + oracle-clean merge, durable "
       "restart >= 5x fewer resync bytes), query-robustness "
       "floors held (crash recall, hedge p99, bounded labeled shedding), "
-      "shard-scale fingerprints identical%s" %
+      "shard-scale fingerprints identical, Chord next hop within 3x of "
+      "Bamboo%s" %
       ("" if num_cpus >= 4 else " (speedup floors skipped: %d cpus)"
        % num_cpus))
 EOF

@@ -63,6 +63,7 @@ void ChordRouting::BuildStatic(const std::vector<NodeInfo>& sorted) {
     NodeInfo f = (it == sorted.end()) ? sorted.front() : *it;
     fingers_[i] = f;
   }
+  RebuildRoute();
   NotifyIfChanged(before);
 }
 
@@ -93,21 +94,40 @@ NodeInfo ChordRouting::NextHop(Key target) const {
   NodeInfo succ = successors_.front();
   // Key in (self, successor]: the successor owns it.
   if (InOpenClosed(self_.id, succ.id, target)) return succ;
-  // Closest preceding node among fingers and successor list.
-  NodeInfo best = succ;
-  Key best_dist = ClockwiseDistance(best.id, target);
-  auto consider = [&](const NodeInfo& cand) {
-    if (!cand.valid() || cand.host == self_.host) return;
-    if (!InOpenOpen(self_.id, target, cand.id)) return;
-    Key d = ClockwiseDistance(cand.id, target);
-    if (d < best_dist) {
-      best = cand;
-      best_dist = d;
+  // Closest preceding node among fingers and successor list: the largest
+  // offset below the target's, where offset 0 (target == self) stands
+  // for the full ring. The successor wins ties, being checked first.
+  Key t_off = Offset(target);
+  auto it = route_.end();
+  if (t_off != 0) {
+    it = std::lower_bound(
+        route_.begin(), route_.end(), t_off,
+        [this](const NodeInfo& n, Key off) { return Offset(n.id) < off; });
+  }
+  if (it == route_.begin() || std::prev(it)->id == succ.id) return succ;
+  return *std::prev(it);
+}
+
+void ChordRouting::RebuildRoute() {
+  // Sorted in a reused buffer and copied out, so route_ holds exactly its
+  // distinct entries: 10k-node rings keep one per node.
+  thread_local std::vector<NodeInfo> buf;
+  buf.clear();
+  auto add = [&](const NodeInfo& n) {
+    if (n.valid() && n.host != self_.host && n.id != self_.id) {
+      buf.push_back(n);
     }
   };
-  for (const auto& f : fingers_) consider(f);
-  for (const auto& s : successors_) consider(s);
-  return best;
+  for (const auto& f : fingers_) add(f);
+  for (const auto& s : successors_) add(s);
+  std::stable_sort(buf.begin(), buf.end(),
+                   [this](const NodeInfo& a, const NodeInfo& b) {
+                     return Offset(a.id) < Offset(b.id);
+                   });
+  auto end = std::unique(
+      buf.begin(), buf.end(),
+      [](const NodeInfo& a, const NodeInfo& b) { return a.id == b.id; });
+  route_.assign(buf.begin(), end);
 }
 
 void ChordRouting::AppendProgressCandidates(Key target,
@@ -159,6 +179,7 @@ void ChordRouting::RemovePeer(sim::HostId host) {
   for (auto& f : fingers_) {
     if (f.valid() && f.host == host) f = NodeInfo{};
   }
+  RebuildRoute();
   NotifyIfChanged(before);
 }
 
@@ -183,6 +204,7 @@ bool ChordRouting::OfferSuccessor(NodeInfo candidate) {
   MembershipSnapshot before = TakeSnapshot();
   if (successors_.empty()) {
     successors_.push_back(candidate);
+    RebuildRoute();
     NotifyIfChanged(before);
     return true;
   }
@@ -190,6 +212,7 @@ bool ChordRouting::OfferSuccessor(NodeInfo candidate) {
   if (InOpenOpen(self_.id, cur.id, candidate.id)) {
     successors_.insert(successors_.begin(), candidate);
     if (successors_.size() > successor_list_size_) successors_.pop_back();
+    RebuildRoute();
     NotifyIfChanged(before);
     return true;
   }
@@ -206,8 +229,10 @@ void ChordRouting::SetSuccessorList(std::vector<NodeInfo> list) {
   if (list.size() > successor_list_size_) list.resize(successor_list_size_);
   if (list.empty()) return;
   for (const auto& n : list) ForgetRememberedPeer(n.host);
+  if (list == successors_) return;  // a steady-state stabilize refresh
   MembershipSnapshot before = TakeSnapshot();
   successors_ = std::move(list);
+  RebuildRoute();
   NotifyIfChanged(before);
 }
 
@@ -215,6 +240,7 @@ bool ChordRouting::DropPrimarySuccessor() {
   if (successors_.empty()) return false;
   MembershipSnapshot before = TakeSnapshot();
   successors_.erase(successors_.begin());
+  RebuildRoute();
   NotifyIfChanged(before);
   return !successors_.empty();
 }
@@ -222,7 +248,9 @@ bool ChordRouting::DropPrimarySuccessor() {
 void ChordRouting::SetFinger(size_t i, NodeInfo n) {
   assert(i < kNumFingers);
   if (n.valid()) ForgetRememberedPeer(n.host);
+  if (fingers_[i] == n) return;
   fingers_[i] = n;
+  RebuildRoute();
 }
 
 }  // namespace pierstack::dht

@@ -97,6 +97,11 @@ class ChordRouting : public RoutingTable {
   static constexpr sim::HostId kInvalidHostSentinel = UINT32_MAX;
 
   MembershipSnapshot TakeSnapshot() const;
+  /// Rebuilds route_ from fingers_ and successors_; every mutator of
+  /// either calls it.
+  void RebuildRoute();
+  /// Clockwise offset of `id` from self: the sort key of route_.
+  Key Offset(Key id) const { return id - self_.id; }
   /// Compares the post-mutation state to `before` and fires the listener
   /// on a real change.
   void NotifyIfChanged(const MembershipSnapshot& before);
@@ -106,6 +111,10 @@ class ChordRouting : public RoutingTable {
   NodeInfo predecessor_;
   std::vector<NodeInfo> successors_;           // ordered clockwise from self
   std::array<NodeInfo, kNumFingers> fingers_;  // may contain invalid entries
+  /// NextHop's search array: the valid fingers and successors whose id is
+  /// not self's, one per id (the first in finger-then-successor order),
+  /// sorted by clockwise offset from self.
+  std::vector<NodeInfo> route_;
   MembershipListener listener_;
   size_t replica_watch_ = 0;
 };

@@ -8,58 +8,100 @@
 namespace pierstack::sim {
 namespace detail {
 
-void CanonicalQueue::Push(CanonicalEvent ev) {
-  heap_.push(std::move(ev));
-  ++live_;
+EventId CanonicalQueue::Push(const CanonicalKey& key, HostId owner,
+                             std::function<void()>&& fn) {
+  uint32_t slot;
+  if (free_.empty()) {
+    assert(slots_.size() < (size_t{1} << kSlotBits));
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.owner = owner;
+  heap_.push_back({key.time, key.origin_seq, key.origin, slot});
+  SiftUp(heap_.size() - 1);
+  return (EventId{s.gen} << kSlotBits) | slot;
 }
 
-void CanonicalQueue::SkipCancelled() {
-  while (!heap_.empty()) {
-    EventId id = heap_.top().id;
-    if (id == kInvalidEventId) return;
-    auto it = cancelled_.find(id);
-    if (it == cancelled_.end()) return;
-    cancelled_.erase(it);
-    heap_.pop();
+void CanonicalQueue::SiftUp(size_t pos) {
+  Entry e = heap_[pos];
+  while (pos > 0) {
+    size_t parent = (pos - 1) / 4;
+    if (!Before(e, heap_[parent])) break;
+    Place(pos, heap_[parent]);
+    pos = parent;
   }
+  Place(pos, e);
+}
+
+void CanonicalQueue::SiftDown(size_t pos) {
+  Entry e = heap_[pos];
+  size_t n = heap_.size();
+  for (;;) {
+    size_t first = 4 * pos + 1;
+    if (first >= n) break;
+    size_t last = first + 4 < n ? first + 4 : n;
+    size_t best = first;
+    for (size_t c = first + 1; c < last; ++c) {
+      if (Before(heap_[c], heap_[best])) best = c;
+    }
+    if (!Before(heap_[best], e)) break;
+    Place(pos, heap_[best]);
+    pos = best;
+  }
+  Place(pos, e);
+}
+
+std::function<void()> CanonicalQueue::RemoveAt(size_t pos) {
+  Slot& s = slots_[heap_[pos].slot];
+  std::function<void()> fn = std::move(s.fn);
+  s.fn = nullptr;
+  s.heap_pos = kFree;
+  s.gen = s.gen == kMaxGen ? 1 : s.gen + 1;
+  free_.push_back(heap_[pos].slot);
+
+  Entry last = heap_.back();
+  heap_.pop_back();
+  if (pos < heap_.size()) {
+    Place(pos, last);
+    if (pos > 0 && Before(last, heap_[(pos - 1) / 4])) {
+      SiftUp(pos);
+    } else {
+      SiftDown(pos);
+    }
+  }
+  return fn;
 }
 
 bool CanonicalQueue::PopUpTo(SimTime bound, CanonicalEvent* out) {
-  SkipCancelled();
-  if (heap_.empty() || heap_.top().time > bound) return false;
-  *out = PopTop();
+  if (heap_.empty() || heap_.front().time > bound) return false;
+  const Entry& top = heap_.front();
+  out->key = {top.time, top.origin, top.origin_seq};
+  out->owner = slots_[top.slot].owner;
+  out->fn = RemoveAt(0);
   return true;
 }
 
-const CanonicalEvent* CanonicalQueue::Peek() {
-  SkipCancelled();
-  return heap_.empty() ? nullptr : &heap_.top();
-}
-
-CanonicalEvent CanonicalQueue::PopTop() {
-  // The container element is not actually const; moving the closure out
-  // before pop avoids a per-event std::function copy. The comparator only
-  // reads the trivially-copied key fields, which a move leaves intact.
-  CanonicalEvent ev = std::move(const_cast<CanonicalEvent&>(heap_.top()));
-  heap_.pop();
-  --live_;
-  return ev;
-}
-
-bool CanonicalQueue::PeekTime(SimTime* t) {
-  SkipCancelled();
+bool CanonicalQueue::Peek(CanonicalKey* key) const {
   if (heap_.empty()) return false;
-  *t = heap_.top().time;
+  const Entry& top = heap_.front();
+  *key = {top.time, top.origin, top.origin_seq};
   return true;
 }
 
-bool CanonicalQueue::Cancel(EventId id) {
-  if (id == kInvalidEventId) return false;
-  // Lazy deletion, like Simulator: remember the id, skip it when popped.
-  // An id is only handed out once per queue, so a successful insert means
-  // the event is still in the heap.
-  if (!cancelled_.insert(id).second) return false;
-  --live_;
+bool CanonicalQueue::Cancel(EventId handle) {
+  uint64_t slot = handle & ((EventId{1} << kSlotBits) - 1);
+  uint64_t gen = handle >> kSlotBits;
+  if (slot >= slots_.size()) return false;
+  const Slot& s = slots_[slot];
+  if (s.heap_pos == kFree || s.gen != gen) return false;
+  // The closure dies at the end of this statement, after the heap is
+  // consistent again: its captures' destructors may reenter the queue.
+  RemoveAt(s.heap_pos);
   return true;
 }
 
@@ -68,16 +110,10 @@ bool CanonicalQueue::Cancel(EventId id) {
 EventId SerialExecutor::ScheduleAt(HostId owner, SimTime t,
                                    std::function<void()> fn) {
   assert(t >= now_);
-  EventId id = next_id_++;
-  detail::CanonicalEvent ev;
-  ev.time = t;
-  ev.origin = current_origin_;
-  ev.origin_seq = origin_seq_[current_origin_]++;
-  ev.owner = owner;
-  ev.id = id;
-  ev.fn = std::move(fn);
-  queue_.Push(std::move(ev));
-  return id;
+  uint64_t seq = current_origin_ == kDriverHost
+                     ? driver_seq_++
+                     : detail::NextOriginSeq(&origin_seq_, current_origin_);
+  return queue_.Push({t, current_origin_, seq}, owner, std::move(fn));
 }
 
 bool SerialExecutor::Cancel(EventId id) { return queue_.Cancel(id); }
@@ -85,7 +121,7 @@ bool SerialExecutor::Cancel(EventId id) { return queue_.Cancel(id); }
 bool SerialExecutor::RunOne(SimTime bound) {
   detail::CanonicalEvent ev;
   if (!queue_.PopUpTo(bound, &ev)) return false;
-  now_ = ev.time;
+  now_ = ev.key.time;
   current_origin_ = ev.owner;
   ++executed_;
   ev.fn();

@@ -22,15 +22,19 @@
 // sequence of deliveries and timer fires, so it performs the identical
 // schedules — same children, same keys — regardless of how events of
 // *different* hosts interleave in wall-clock time.
+//
+// Both canonical backends keep their events in detail::CanonicalQueue: an
+// indexed 4-ary min-heap of small (time, origin, origin_seq, slot) keys
+// whose closures sit in a pool of generation-stamped slots. Cancelling
+// removes the event from the heap at once (timeouts are cancelled far more
+// often than they fire), and the generation makes a handle die with its
+// event, so cancelling a finished, cancelled or unknown event is a no-op.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace pierstack::sim {
@@ -111,51 +115,101 @@ class Executor {
 
 namespace detail {
 
-/// An event keyed for canonical cross-backend ordering.
-struct CanonicalEvent {
+/// The canonical ordering key (time, origin, origin_seq). `origin` is the
+/// host whose handler scheduled the event; `origin_seq` is monotonic per
+/// origin, so no two events of one executor share a key.
+struct CanonicalKey {
   SimTime time = 0;
-  HostId origin = kDriverHost;  ///< Host whose handler scheduled it.
-  uint64_t origin_seq = 0;      ///< Monotonic per-origin at schedule time.
-  HostId owner = kDriverHost;   ///< Host whose state the handler touches.
-  EventId id = kInvalidEventId;  ///< 0 = not cancellable.
-  std::function<void()> fn;
-};
+  HostId origin = kDriverHost;
+  uint64_t origin_seq = 0;
 
-/// Min-heap order on the canonical key (time, origin, origin_seq).
-struct CanonicalLater {
-  bool operator()(const CanonicalEvent& a, const CanonicalEvent& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    if (a.origin != b.origin) return a.origin > b.origin;
-    return a.origin_seq > b.origin_seq;
+  friend bool operator<(const CanonicalKey& a, const CanonicalKey& b) {
+    if (a.time != b.time) return a.time < b.time;
+    if (a.origin != b.origin) return a.origin < b.origin;
+    return a.origin_seq < b.origin_seq;
   }
 };
 
-/// Priority queue over canonical keys with lazy cancellation, shared by
-/// SerialExecutor (one queue) and ShardedExecutor (one per shard).
+/// An event in transit: popped from a queue, or parked in a sharded
+/// backend's cross-shard mailbox.
+struct CanonicalEvent {
+  CanonicalKey key;
+  HostId owner = kDriverHost;  ///< Host whose state the handler touches.
+  std::function<void()> fn;
+};
+
+/// Canonical-order event queue shared by SerialExecutor (one queue) and
+/// ShardedExecutor (one per shard plus the driver's): an indexed 4-ary
+/// min-heap of 24-byte keys over a pool of closure slots.
+///
+/// Each closure lives in a pooled slot that records its owner, a
+/// generation and its heap position; the heap only ever moves keys, and a
+/// pop moves the closure out of its slot exactly once. Push returns a
+/// handle (generation << kSlotBits | slot): never 0, below 2^56, and dead
+/// as soon as the event runs or is cancelled, because freeing a slot bumps
+/// its generation. Cancel therefore removes the event from the heap at
+/// once, by position, and rejects handles of events that already ran,
+/// were cancelled, or never existed — including a stale handle whose slot
+/// a newer event reuses.
 class CanonicalQueue {
  public:
-  void Push(CanonicalEvent ev);
-  /// Pops the minimum live event into `out` if its time <= bound.
-  /// Returns false when the queue is empty or the minimum is later.
+  /// Enqueues `fn` under `key`; returns its cancellation handle.
+  EventId Push(const CanonicalKey& key, HostId owner,
+               std::function<void()>&& fn);
+  /// Pops the minimum event into `out` if its time <= bound. Returns false
+  /// when the queue is empty or the minimum is later.
   bool PopUpTo(SimTime bound, CanonicalEvent* out);
-  /// Earliest live event, or nullptr when empty. Valid until the next
-  /// mutating call.
-  const CanonicalEvent* Peek();
-  /// Pops and returns the earliest live event (queue must be non-empty).
-  CanonicalEvent PopTop();
-  /// Time of the earliest live event; false when empty.
-  bool PeekTime(SimTime* t);
-  bool Cancel(EventId id);
-  size_t pending() const { return live_; }
+  /// Key of the minimum event; false when empty.
+  bool Peek(CanonicalKey* key) const;
+  /// Removes a pending event; false if `handle` is not one.
+  bool Cancel(EventId handle);
+  size_t pending() const { return heap_.size(); }
 
  private:
-  void SkipCancelled();
-  std::priority_queue<CanonicalEvent, std::vector<CanonicalEvent>,
-                      CanonicalLater>
-      heap_;
-  std::unordered_set<EventId> cancelled_;
-  size_t live_ = 0;
+  /// A CanonicalKey plus its slot, packed into 24 bytes (a CanonicalKey
+  /// member would pad the entry to 32), ordered by Before.
+  struct Entry {
+    SimTime time;
+    uint64_t origin_seq;
+    HostId origin;
+    uint32_t slot;
+  };
+  struct Slot {
+    std::function<void()> fn;
+    HostId owner = kDriverHost;
+    uint32_t gen = 1;
+    uint32_t heap_pos = kFree;
+  };
+  static constexpr uint32_t kFree = UINT32_MAX;
+  static constexpr uint32_t kSlotBits = 28;
+  static constexpr uint32_t kMaxGen = (1u << kSlotBits) - 1;
+
+  static bool Before(const Entry& a, const Entry& b) {
+    if (a.time != b.time) return a.time < b.time;
+    if (a.origin != b.origin) return a.origin < b.origin;
+    return a.origin_seq < b.origin_seq;
+  }
+  void Place(size_t pos, const Entry& e) {
+    heap_[pos] = e;
+    slots_[e.slot].heap_pos = static_cast<uint32_t>(pos);
+  }
+  void SiftUp(size_t pos);
+  void SiftDown(size_t pos);
+  /// Takes the entry at `pos` out of the heap and frees its slot; returns
+  /// the slot's closure.
+  std::function<void()> RemoveAt(size_t pos);
+
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_;  ///< Free slot indices, reused LIFO.
 };
+
+/// Dense per-origin schedule counters: the next origin_seq of host `index`,
+/// growing the vector on demand (host ids are dense).
+inline uint64_t NextOriginSeq(std::vector<uint64_t>* seqs, size_t index) {
+  if (index >= seqs->size()) seqs->resize(index + 1, 0);
+  return (*seqs)[index]++;
+}
 
 }  // namespace detail
 
@@ -183,8 +237,8 @@ class SerialExecutor : public Executor {
   SimTime now_ = 0;
   HostId current_origin_ = kDriverHost;  ///< Context assigning child keys.
   detail::CanonicalQueue queue_;
-  std::unordered_map<HostId, uint64_t> origin_seq_;
-  EventId next_id_ = 1;
+  std::vector<uint64_t> origin_seq_;  ///< Indexed by host id.
+  uint64_t driver_seq_ = 0;           ///< origin_seq of kDriverHost.
   uint64_t executed_ = 0;
 };
 

@@ -6,18 +6,32 @@ namespace pierstack::sim {
 
 namespace {
 
-// Worker-thread identity: which executor's shard this thread is, if any.
-// Keyed by executor address; workers die with their executor, so a stale
-// pointer can never be observed by a live executor's calls.
+// Shard identity of the calling thread: which executor's shard it is
+// draining, if any — a worker's for its whole life, the coordinator's
+// while it drains shard 0. Keyed by executor address; workers die with
+// their executor, so a stale pointer can never be observed by a live
+// executor's calls.
 thread_local const void* tls_exec = nullptr;
 thread_local uint32_t tls_shard_idx = 0;
 
+// An EventId is a queue handle (below 2^56) tagged with the queue's slot:
+// a shard index, or kDriverSlot for the driver queue.
 constexpr uint32_t kDriverSlot = 0xFE;
 constexpr uint32_t kSlotBits = 8;
 constexpr uint32_t kSlotMask = 0xFF;
 
-EventId MakeId(uint32_t slot, uint64_t counter) {
-  return (counter << kSlotBits) | slot;
+// Barrier polls before a waiting thread blocks: roughly 0.1-1 ms,
+// depending on the CPU's pause latency.
+constexpr uint32_t kSpinPolls = 1u << 14;
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+EventId MakeId(uint32_t slot, EventId handle) {
+  return (handle << kSlotBits) | slot;
 }
 
 }  // namespace
@@ -36,19 +50,33 @@ ShardedExecutor::ShardedExecutor(Options opts)
     }
     shards_.push_back(std::move(shard));
   }
-  for (auto& shard : shards_) {
-    shard->thread = std::thread(&ShardedExecutor::WorkerLoop, this,
-                                shard.get());
+  if (std::thread::hardware_concurrency() >= nshards_) {
+    spin_polls_ = kSpinPolls;
+  }
+  // Shard 0 runs on the coordinator's thread (RunEpoch).
+  for (uint32_t i = 1; i < nshards_; ++i) {
+    shards_[i]->thread = std::thread(&ShardedExecutor::WorkerLoop, this,
+                                     shards_[i].get());
   }
 }
 
 ShardedExecutor::~ShardedExecutor() {
   {
     std::lock_guard<std::mutex> lock(epoch_mu_);
-    shutdown_ = true;
+    shutdown_.store(true, std::memory_order_release);
   }
   epoch_cv_.notify_all();
-  for (auto& shard : shards_) shard->thread.join();
+  for (uint32_t i = 1; i < nshards_; ++i) shards_[i]->thread.join();
+}
+
+template <typename Ready>
+void ShardedExecutor::Await(std::condition_variable& cv, Ready ready) {
+  for (uint32_t i = 0; i < spin_polls_; ++i) {
+    if (ready()) return;
+    CpuRelax();
+  }
+  std::unique_lock<std::mutex> lock(epoch_mu_);
+  cv.wait(lock, ready);
 }
 
 SimTime ShardedExecutor::now() const {
@@ -63,95 +91,90 @@ uint32_t ShardedExecutor::CurrentSlab() const {
 
 uint64_t ShardedExecutor::NextSeqFor(HostId origin) {
   if (origin == kDriverHost) return driver_seq_++;
-  return shards_[ShardOf(origin)]->origin_seq[origin]++;
+  return detail::NextOriginSeq(&shards_[ShardOf(origin)]->origin_seq,
+                               origin / nshards_);
 }
 
 EventId ShardedExecutor::ScheduleAt(HostId owner, SimTime t,
                                     std::function<void()> fn) {
-  detail::CanonicalEvent ev;
-  ev.time = t;
-  ev.owner = owner;
-  ev.fn = std::move(fn);
+  detail::CanonicalKey key;
+  key.time = t;
   if (tls_exec == this) {
     // Worker context: keys come from the executing host on this shard.
     Shard* s = shards_[tls_shard_idx].get();
     assert(t >= s->clock);
-    ev.origin = s->current_origin;
-    ev.origin_seq = s->origin_seq[ev.origin]++;
+    key.origin = s->current_origin;
+    key.origin_seq = NextSeqFor(key.origin);
     if (owner == kDriverHost) {
       std::lock_guard<std::mutex> lock(driver_inbox_.mu);
-      driver_inbox_.events.push_back(std::move(ev));
+      driver_inbox_.events.push_back({key, owner, std::move(fn)});
       return kInvalidEventId;
     }
     uint32_t dst = ShardOf(owner);
     if (dst == s->index) {
-      EventId id = MakeId(s->index, s->next_local_id++);
-      ev.id = id;
-      s->queue.Push(std::move(ev));
-      return id;
+      return MakeId(s->index, s->queue.Push(key, owner, std::move(fn)));
     }
     // Cross-shard handoff: parked in the mailbox until the barrier. Not
     // cancellable — only fire-and-forget message deliveries take this
     // path (timers and timeouts are always owner-scheduled, same shard).
     Mailbox* mb = s->outbox[dst].get();
     std::lock_guard<std::mutex> lock(mb->mu);
-    mb->events.push_back(std::move(ev));
+    mb->events.push_back({key, owner, std::move(fn)});
     return kInvalidEventId;
   }
   // Driver context (between runs, or the coordinator's merged driver
   // loop): exclusive access to every queue, push directly.
   assert(t >= now());
-  ev.origin = in_driver_phase_ ? coord_origin_ : kDriverHost;
-  ev.origin_seq = NextSeqFor(ev.origin);
+  key.origin = in_driver_phase_ ? coord_origin_ : kDriverHost;
+  key.origin_seq = NextSeqFor(key.origin);
   if (owner == kDriverHost) {
-    EventId id = MakeId(kDriverSlot, driver_next_id_++);
-    ev.id = id;
-    driver_queue_.Push(std::move(ev));
-    return id;
+    return MakeId(kDriverSlot, driver_queue_.Push(key, owner, std::move(fn)));
   }
   Shard* s = shards_[ShardOf(owner)].get();
-  EventId id = MakeId(s->index, s->next_local_id++);
-  ev.id = id;
-  s->queue.Push(std::move(ev));
-  return id;
+  return MakeId(s->index, s->queue.Push(key, owner, std::move(fn)));
 }
 
 bool ShardedExecutor::Cancel(EventId id) {
   if (id == kInvalidEventId) return false;
   uint32_t slot = static_cast<uint32_t>(id & kSlotMask);
+  EventId handle = id >> kSlotBits;
   if (slot == kDriverSlot) {
     assert(tls_exec != this);  // driver events cancel from driver context
-    return driver_queue_.Cancel(id);
+    return driver_queue_.Cancel(handle);
   }
-  assert(slot < nshards_);
+  if (slot >= nshards_) return false;
   // Only the owning shard's thread, or exclusive driver context, may
   // touch that shard's queue.
   assert(tls_exec != this || tls_shard_idx == slot);
-  return shards_[slot]->queue.Cancel(id);
+  return shards_[slot]->queue.Cancel(handle);
 }
 
 void ShardedExecutor::WorkerLoop(Shard* shard) {
   tls_exec = this;
   tls_shard_idx = shard->index;
   uint64_t seen_gen = 0;
-  std::unique_lock<std::mutex> lock(epoch_mu_);
   for (;;) {
-    epoch_cv_.wait(lock,
-                   [&] { return shutdown_ || epoch_gen_ != seen_gen; });
-    if (shutdown_) return;
-    seen_gen = epoch_gen_;
-    SimTime bound = epoch_bound_;
-    lock.unlock();
-    RunShardEpoch(shard, bound);
-    lock.lock();
-    if (++workers_done_ == nshards_) done_cv_.notify_one();
+    Await(epoch_cv_, [&] {
+      return shutdown_.load(std::memory_order_acquire) ||
+             epoch_gen_.load(std::memory_order_acquire) != seen_gen;
+    });
+    if (shutdown_.load(std::memory_order_acquire)) return;
+    seen_gen = epoch_gen_.load(std::memory_order_acquire);
+    RunShardEpoch(shard, epoch_bound_);
+    bool last;
+    {
+      std::lock_guard<std::mutex> lock(epoch_mu_);
+      last = workers_done_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+             nshards_ - 1;
+    }
+    if (last) done_cv_.notify_one();
   }
 }
 
 void ShardedExecutor::RunShardEpoch(Shard* shard, SimTime bound) {
   detail::CanonicalEvent ev;
   while (shard->queue.PopUpTo(bound, &ev)) {
-    shard->clock = ev.time;
+    shard->clock = ev.key.time;
     shard->current_origin = ev.owner;
     ++shard->executed;
     ev.fn();
@@ -170,15 +193,15 @@ void ShardedExecutor::DrainMailboxes(SimTime window_end) {
         // The conservative-lookahead contract: nothing sent inside a
         // window may land inside it. A failure here means the configured
         // lookahead exceeds some cross-host delay.
-        assert(ev.time > window_end);
-        shards_[d]->queue.Push(std::move(ev));
+        assert(ev.key.time > window_end);
+        shards_[d]->queue.Push(ev.key, ev.owner, std::move(ev.fn));
       }
       mb->events.clear();
     }
   }
   std::lock_guard<std::mutex> lock(driver_inbox_.mu);
   for (auto& ev : driver_inbox_.events) {
-    driver_queue_.Push(std::move(ev));
+    driver_queue_.Push(ev.key, ev.owner, std::move(ev.fn));
   }
   driver_inbox_.events.clear();
 }
@@ -187,15 +210,25 @@ size_t ShardedExecutor::RunEpoch(SimTime bound) {
   uint64_t before = driver_executed_;
   for (const auto& shard : shards_) before += shard->executed;
 
-  // Parallel phase: every shard drains its queue up to the bound.
+  // Parallel phase: every shard drains its queue up to the bound, shard 0
+  // on this thread.
   {
-    std::unique_lock<std::mutex> lock(epoch_mu_);
+    std::lock_guard<std::mutex> lock(epoch_mu_);
     epoch_bound_ = bound;
-    workers_done_ = 0;
-    ++epoch_gen_;
-    epoch_cv_.notify_all();
-    done_cv_.wait(lock, [&] { return workers_done_ == nshards_; });
+    workers_done_.store(0, std::memory_order_relaxed);
+    epoch_gen_.fetch_add(1, std::memory_order_release);
   }
+  epoch_cv_.notify_all();
+  const void* saved_exec = tls_exec;
+  uint32_t saved_idx = tls_shard_idx;
+  tls_exec = this;
+  tls_shard_idx = 0;
+  RunShardEpoch(shards_[0].get(), bound);
+  tls_exec = saved_exec;
+  tls_shard_idx = saved_idx;
+  Await(done_cv_, [&] {
+    return workers_done_.load(std::memory_order_acquire) == nshards_ - 1;
+  });
   DrainMailboxes(bound);
 
   // Merged driver loop: any driver events due in this window run now, with
@@ -205,20 +238,21 @@ size_t ShardedExecutor::RunEpoch(SimTime bound) {
   in_driver_phase_ = true;
   for (;;) {
     detail::CanonicalQueue* best = nullptr;
-    const detail::CanonicalEvent* best_ev = nullptr;
+    detail::CanonicalKey best_key;
     auto consider = [&](detail::CanonicalQueue* q) {
-      const detail::CanonicalEvent* e = q->Peek();
-      if (e == nullptr || e->time > bound) return;
-      if (best_ev == nullptr || detail::CanonicalLater{}(*best_ev, *e)) {
+      detail::CanonicalKey k;
+      if (!q->Peek(&k) || k.time > bound) return;
+      if (best == nullptr || k < best_key) {
         best = q;
-        best_ev = e;
+        best_key = k;
       }
     };
     consider(&driver_queue_);
     for (auto& shard : shards_) consider(&shard->queue);
     if (best == nullptr) break;
-    detail::CanonicalEvent ev = best->PopTop();
-    driver_clock_ = ev.time;
+    detail::CanonicalEvent ev;
+    best->PopUpTo(bound, &ev);
+    driver_clock_ = ev.key.time;
     coord_origin_ = ev.owner;
     ++driver_executed_;
     ev.fn();
@@ -238,10 +272,10 @@ size_t ShardedExecutor::RunCore(SimTime t_limit, size_t limit) {
     // the frontier.
     bool any = false;
     SimTime e_min = 0;
-    auto update = [&](detail::CanonicalQueue& q) {
-      SimTime t;
-      if (q.PeekTime(&t) && (!any || t < e_min)) {
-        e_min = t;
+    auto update = [&](const detail::CanonicalQueue& q) {
+      detail::CanonicalKey k;
+      if (q.Peek(&k) && (!any || k.time < e_min)) {
+        e_min = k.time;
         any = true;
       }
     };
@@ -254,9 +288,9 @@ size_t ShardedExecutor::RunCore(SimTime t_limit, size_t limit) {
     // workers parked).
     SimTime bound = (e_min / lookahead_ + 1) * lookahead_ - 1;
     if (t_limit < bound) bound = t_limit;
-    SimTime t_driver;
-    if (driver_queue_.PeekTime(&t_driver) && t_driver < bound) {
-      bound = t_driver;
+    detail::CanonicalKey driver_next;
+    if (driver_queue_.Peek(&driver_next) && driver_next.time < bound) {
+      bound = driver_next.time;
     }
     total += RunEpoch(bound);
   }

@@ -24,8 +24,16 @@
 // canonical loop — the due driver events plus everything they spawn inside
 // the window — serially, with all workers parked. That reproduces the
 // serial backend's ordering around topology mutations exactly.
+//
+// Threads: the coordinator (the thread calling Run/RunUntil) drains shard
+// 0 itself and N-1 worker threads drain the rest, so N shards occupy N
+// cores. Each epoch boundary is a barrier; when the machine has a core
+// per shard, waiting threads spin briefly before blocking, because an
+// epoch holds only a few hundred microseconds of work and a futex
+// round-trip per shard per epoch would cost a large share of it.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -40,7 +48,7 @@ namespace pierstack::sim {
 class ShardedExecutor : public Executor {
  public:
   struct Options {
-    uint32_t shards = 2;  ///< Worker thread count, in [1, 250].
+    uint32_t shards = 2;  ///< Shard count, in [1, 250].
     /// Lower bound on every cross-host scheduled delay (minimum network
     /// latency + any extra). Must be > 0; windows span exactly this much
     /// simulated time, so a too-small bound costs barriers, and a
@@ -81,15 +89,19 @@ class ShardedExecutor : public Executor {
     detail::CanonicalQueue queue;
     SimTime clock = 0;  ///< Time of the last executed event on this shard.
     HostId current_origin = kDriverHost;
-    std::unordered_map<HostId, uint64_t> origin_seq;
-    uint64_t next_local_id = 1;
+    /// origin_seq counters of this shard's hosts, by host / shard count.
+    std::vector<uint64_t> origin_seq;
     uint64_t executed = 0;
     /// outbox[d]: events this shard scheduled for shard d (d != index).
     std::vector<std::unique_ptr<Mailbox>> outbox;
-    std::thread thread;
+    std::thread thread;  ///< Not started for shard 0 (the coordinator).
   };
 
   void WorkerLoop(Shard* shard);
+  /// Returns once `ready()` holds: polls it up to spin_polls_ times, then
+  /// blocks on `cv` under epoch_mu_.
+  template <typename Ready>
+  void Await(std::condition_variable& cv, Ready ready);
   void RunShardEpoch(Shard* shard, SimTime bound);
   /// Runs one barrier epoch ending at `bound` (inclusive): parallel shard
   /// phase, mailbox drain, then the merged driver loop. Returns events run.
@@ -108,7 +120,6 @@ class ShardedExecutor : public Executor {
   // under driver_inbox_.mu (worker-scheduled driver events).
   detail::CanonicalQueue driver_queue_;
   Mailbox driver_inbox_;
-  uint64_t driver_next_id_ = 1;
   uint64_t driver_seq_ = 0;
   uint64_t driver_executed_ = 0;
   SimTime horizon_ = 0;       ///< Global clock between epochs.
@@ -116,14 +127,18 @@ class ShardedExecutor : public Executor {
   bool in_driver_phase_ = false;
   HostId coord_origin_ = kDriverHost;  ///< Scheduling context, driver loop.
 
-  // Epoch barrier (generation-counted; C++17 has no std::barrier).
+  // Epoch barrier (generation-counted; C++17 has no std::barrier). All
+  // writes happen under epoch_mu_; the atomics let a spinning waiter poll
+  // without it. Workers read epoch_bound_ after they observe the new
+  // epoch_gen_ it was written with.
   std::mutex epoch_mu_;
   std::condition_variable epoch_cv_;   ///< Coordinator -> workers.
   std::condition_variable done_cv_;    ///< Workers -> coordinator.
-  uint64_t epoch_gen_ = 0;
+  std::atomic<uint64_t> epoch_gen_{0};
   SimTime epoch_bound_ = 0;
-  uint32_t workers_done_ = 0;
-  bool shutdown_ = false;
+  std::atomic<uint32_t> workers_done_{0};
+  std::atomic<bool> shutdown_{false};
+  uint32_t spin_polls_ = 0;  ///< 0 when the shards outnumber the cores.
 };
 
 }  // namespace pierstack::sim

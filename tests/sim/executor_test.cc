@@ -7,6 +7,8 @@
 
 #include <array>
 #include <cstdlib>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -234,6 +236,194 @@ TEST(ShardedExecutorTest, ReportsShardCountAndDriverSlab) {
   // Driver context gets the extra slab past the workers'.
   EXPECT_EQ(ex.CurrentSlab(), 3u);
   for (HostId h = 0; h < 6; ++h) EXPECT_LT(ex.ShardOf(h), 3u);
+}
+
+// The Cancel contract on both backends: false, and no change to pending(),
+// for anything but a pending event.
+std::vector<std::pair<std::string, std::unique_ptr<Executor>>> Backends() {
+  std::vector<std::pair<std::string, std::unique_ptr<Executor>>> out;
+  out.emplace_back("serial", std::make_unique<SerialExecutor>());
+  out.emplace_back("sharded", std::make_unique<ShardedExecutor>(
+                                  ShardedExecutor::Options{2, kMillisecond}));
+  return out;
+}
+
+TEST(CancelContractTest, CancelAfterTheEventRanFails) {
+  for (auto& [name, ex] : Backends()) {
+    SCOPED_TRACE(name);
+    int ran = 0;
+    EventId id = ex->ScheduleAt(1, 10 * kMillisecond, [&ran] { ++ran; });
+    ex->ScheduleAt(1, 20 * kMillisecond, [&ran] { ++ran; });
+    EXPECT_EQ(ex->RunUntil(15 * kMillisecond), 1u);
+    EXPECT_EQ(ran, 1);
+    EXPECT_FALSE(ex->Cancel(id));
+    EXPECT_EQ(ex->pending(), 1u);
+    EXPECT_EQ(ex->Run(), 1u);
+    EXPECT_FALSE(ex->Cancel(id));
+    EXPECT_EQ(ex->pending(), 0u);
+  }
+}
+
+TEST(CancelContractTest, CancelOfUnknownIdFails) {
+  for (auto& [name, ex] : Backends()) {
+    SCOPED_TRACE(name);
+    EventId done = ex->ScheduleAt(1, 10 * kMillisecond, [] {});
+    EventId live = ex->ScheduleAt(1, 20 * kMillisecond, [] {});
+    EXPECT_EQ(ex->RunUntil(15 * kMillisecond), 1u);
+    // Ids never handed out: constants, and every single-bit step from the
+    // ids of a finished and a pending event (which covers a freed slot's
+    // next generation under any handle layout).
+    std::vector<EventId> bogus = {kInvalidEventId, EventId{12345},
+                                  ~EventId{0}, EventId{0xFE}, EventId{0xFF}};
+    for (EventId base : {done, live}) {
+      for (int bit = 0; bit < 64; ++bit) {
+        bogus.push_back(base + (EventId{1} << bit));
+        bogus.push_back(base - (EventId{1} << bit));
+      }
+    }
+    for (EventId id : bogus) {
+      if (id == live) continue;
+      EXPECT_FALSE(ex->Cancel(id)) << id;
+      EXPECT_EQ(ex->pending(), 1u);
+    }
+    EXPECT_EQ(ex->Run(), 1u);
+    EXPECT_EQ(ex->pending(), 0u);
+  }
+}
+
+TEST(CancelContractTest, DoubleCancelFails) {
+  for (auto& [name, ex] : Backends()) {
+    SCOPED_TRACE(name);
+    bool ran = false;
+    EventId a = ex->ScheduleAt(1, 10 * kMillisecond, [&ran] { ran = true; });
+    ex->ScheduleAt(kDriverHost, 10 * kMillisecond, [] {});
+    EXPECT_EQ(ex->pending(), 2u);
+    EXPECT_TRUE(ex->Cancel(a));
+    EXPECT_EQ(ex->pending(), 1u);
+    EXPECT_FALSE(ex->Cancel(a));
+    EXPECT_EQ(ex->pending(), 1u);
+    EXPECT_EQ(ex->Run(), 1u);
+    EXPECT_FALSE(ran);
+    EXPECT_EQ(ex->pending(), 0u);
+  }
+}
+
+TEST(CancelContractTest, StaleHandleSparesTheEventReusingItsSlot) {
+  for (auto& [name, ex] : Backends()) {
+    SCOPED_TRACE(name);
+    // A cancelled handle, then a handle of an event that ran: each freed
+    // slot is reused by the next push on the same queue.
+    EventId cancelled = ex->ScheduleAt(1, 10 * kMillisecond, [] {});
+    ASSERT_TRUE(ex->Cancel(cancelled));
+    int newer_ran = 0;
+    EventId newer =
+        ex->ScheduleAt(1, 10 * kMillisecond, [&newer_ran] { ++newer_ran; });
+    EXPECT_NE(newer, cancelled);
+    EXPECT_FALSE(ex->Cancel(cancelled));
+    EXPECT_EQ(ex->pending(), 1u);
+    EXPECT_EQ(ex->RunUntil(10 * kMillisecond), 1u);
+    EXPECT_EQ(newer_ran, 1);
+
+    EventId newest =
+        ex->ScheduleAt(1, 20 * kMillisecond, [&newer_ran] { ++newer_ran; });
+    EXPECT_FALSE(ex->Cancel(newer));
+    EXPECT_FALSE(ex->Cancel(cancelled));
+    EXPECT_EQ(ex->pending(), 1u);
+    EXPECT_EQ(ex->Run(), 1u);
+    EXPECT_EQ(newer_ran, 2);
+    EXPECT_FALSE(ex->Cancel(newest));
+    EXPECT_EQ(ex->pending(), 0u);
+  }
+}
+
+// Random interleavings of Push, Cancel and PopUpTo against a reference
+// std::map ordered by the canonical key: same pop order, same pending()
+// after every operation, and no cancelled closure ever runs.
+TEST(CanonicalQueueTest, MatchesReferenceOrderedSet) {
+  constexpr int kOpsPerSeed = 30000;
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    detail::CanonicalQueue q;
+    // Pending keys, each mapped to its index in `pushed`.
+    std::map<detail::CanonicalKey, size_t> ref;
+    // Every pushed event, by index: its key, handle and fate.
+    struct Pushed {
+      detail::CanonicalKey key;
+      EventId handle;
+      bool live;
+      bool cancelled;
+      bool ran;
+    };
+    std::vector<Pushed> pushed;
+    std::map<HostId, uint64_t> next_seq;
+    uint64_t x = seed;
+    auto rand = [&x](uint64_t n) { return (x = Mix64(x)) % n; };
+    SimTime floor = 0;  // times are pushed at or after the last pop
+
+    for (int op = 0; op < kOpsPerSeed; ++op) {
+      uint64_t dice = rand(10);
+      if (dice < 5) {
+        // Few times and origins, so ties on time and origin are common.
+        HostId origin = rand(5) == 0 ? kDriverHost
+                                     : static_cast<HostId>(rand(6));
+        detail::CanonicalKey key{floor + rand(40), origin,
+                                 next_seq[origin]++};
+        size_t i = pushed.size();
+        EventId h = q.Push(key, static_cast<HostId>(rand(8)),
+                           [&pushed, i] { pushed[i].ran = true; });
+        ASSERT_NE(h, kInvalidEventId);
+        ASSERT_LT(h, EventId{1} << 56);
+        pushed.push_back({key, h, true, false, false});
+        ref.emplace(key, i);
+      } else if (dice < 7 && !pushed.empty()) {
+        // Cancel any handle ever issued: live ones succeed, the rest
+        // (ran, already cancelled) must fail.
+        Pushed& p = pushed[rand(pushed.size())];
+        ASSERT_EQ(q.Cancel(p.handle), p.live);
+        if (p.live) {
+          p.live = false;
+          p.cancelled = true;
+          ref.erase(p.key);
+        }
+      } else {
+        SimTime bound = floor + rand(30);
+        detail::CanonicalEvent ev;
+        bool popped = q.PopUpTo(bound, &ev);
+        bool want = !ref.empty() && ref.begin()->first.time <= bound;
+        ASSERT_EQ(popped, want);
+        if (popped) {
+          auto [k, i] = *ref.begin();
+          ASSERT_EQ(ev.key.time, k.time);
+          ASSERT_EQ(ev.key.origin, k.origin);
+          ASSERT_EQ(ev.key.origin_seq, k.origin_seq);
+          ref.erase(ref.begin());
+          pushed[i].live = false;
+          ev.fn();
+          ASSERT_TRUE(pushed[i].ran);
+          floor = ev.key.time;
+        }
+      }
+      ASSERT_EQ(q.pending(), ref.size());
+      detail::CanonicalKey top;
+      ASSERT_EQ(q.Peek(&top), !ref.empty());
+      if (!ref.empty()) {
+        const detail::CanonicalKey& k = ref.begin()->first;
+        ASSERT_EQ(top.time, k.time);
+        ASSERT_EQ(top.origin, k.origin);
+        ASSERT_EQ(top.origin_seq, k.origin_seq);
+      }
+    }
+    // Drain; then no cancelled closure has run, and every other one has.
+    detail::CanonicalEvent ev;
+    while (q.PopUpTo(UINT64_MAX, &ev)) ev.fn();
+    EXPECT_EQ(q.pending(), 0u);
+    size_t cancels = 0;
+    for (const Pushed& p : pushed) {
+      EXPECT_NE(p.cancelled, p.ran);
+      cancels += p.cancelled;
+    }
+    EXPECT_GT(cancels, 1000u);  // not vacuous
+  }
 }
 
 TEST(MakeEnvExecutorTest, SelectsBackendFromEnv) {
