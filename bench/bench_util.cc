@@ -163,7 +163,8 @@ std::vector<LatencyObservation> RunLatencyReplay(ReplaySetup* setup,
     size_t leaf_idx = static_cast<size_t>(
         rng.NextBelow(setup->gnutella->num_leaves()));
     const std::string& text = setup->trace.queries[q].text;
-    setup->simulator.ScheduleAt(at, [setup, states, q, leaf_idx, text]() {
+    setup->simulator.ScheduleAt(sim::kDriverHost, at, [setup, states, q,
+                                                       leaf_idx, text]() {
       auto* leaf = setup->gnutella->leaf(leaf_idx);
       (*states)[q].started = setup->simulator.now();
       leaf->StartQuery(

@@ -388,7 +388,7 @@ static dht::DhtOptions ClassicRoutingOpts(dht::DhtOptions dopts = {}) {
 /// simulated network, a static DHT deployment, and one PierNode per DHT
 /// node. All publish/fetch benches must measure the same topology.
 struct BenchCluster {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   sim::Network network;
   dht::DhtDeployment dht;
   pier::PierMetrics metrics;
@@ -461,7 +461,8 @@ static void JoinChainRun(benchmark::State& state, bool batched) {
     for (size_t q = 0; q < kQueries; ++q) {
       std::string query = "artist" + std::to_string(q % 20) + " album" +
                           std::to_string(q % 50);
-      engine.Search(query, sopts, [&](Status s, auto hits) {
+      engine.Search(query, sopts, [&](Status s, auto hits,
+                                      const pier::Completeness&) {
         if (s.ok()) results += hits.size();
       });
     }
@@ -519,13 +520,15 @@ static void FetchItemsRun(benchmark::State& state, bool coalesced) {
       std::vector<pier::Value> keys;
       for (uint64_t id : ids) keys.emplace_back(pier::Value(id));
       piers[1]->FetchMany(piersearch::ItemSchema(), std::move(keys),
-                          [&](Status s, std::vector<pier::Tuple> tuples) {
+                          [&](Status s, std::vector<pier::Tuple> tuples,
+                              const pier::Completeness&) {
                             if (s.ok()) fetched += tuples.size();
                           });
     } else {
       for (uint64_t id : ids) {
         piers[1]->Fetch(piersearch::ItemSchema(), pier::Value(id),
-                        [&](Status s, std::vector<pier::Tuple> tuples) {
+                        [&](Status s, std::vector<pier::Tuple> tuples,
+                            const pier::Completeness&) {
                           if (s.ok()) fetched += tuples.size();
                         });
       }
@@ -639,7 +642,8 @@ static void ReplicaFetchRun(benchmark::State& state, bool replica_aware) {
     std::vector<pier::Value> keys;
     for (uint64_t id : ids) keys.emplace_back(pier::Value(id));
     piers[1]->FetchMany(piersearch::ItemSchema(), std::move(keys),
-                        [&](Status s, std::vector<pier::Tuple> tuples) {
+                        [&](Status s, std::vector<pier::Tuple> tuples,
+                            const pier::Completeness&) {
                           if (s.ok()) fetched += tuples.size();
                         });
     c.simulator.Run();
@@ -685,7 +689,8 @@ static void AdaptiveFlushRun(benchmark::State& state, bool adaptive) {
     for (auto& p : c.piers) p->set_batch_options(bopts);
     // One keyword burst every 100ms so each burst meets a drained path.
     for (size_t k = 0; k < kKeywords; ++k) {
-      c.simulator.ScheduleAfter(k * 100 * sim::kMillisecond, [&, k]() {
+      c.simulator.ScheduleAfter(sim::kDriverHost, k * 100 * sim::kMillisecond,
+                                [&, k]() {
         for (uint64_t f = 0; f < kPerKeyword; ++f) {
           sim::SimTime sent = c.simulator.now();
           c.piers[0]->PublishBatch(
@@ -763,16 +768,16 @@ static void CreditJoinRun(benchmark::State& state, size_t credit_window) {
     sim::HostId slow = c.dht.ExpectedOwner(beta_key)->host();
     c.network.SetProcessingDelay(slow, 20 * sim::kMillisecond);
     c.network.ResetLoadWatermarks();
-    pier::DistributedJoin join;
-    for (const char* kw : {"alpha", "beta"}) {
-      pier::JoinStage stage;
-      stage.ns = "inverted";
-      stage.key = pier::Value(std::string(kw));
-      join.stages.push_back(std::move(stage));
-    }
-    c.piers[3]->ExecuteJoin(std::move(join), [&](Status s, auto entries) {
-      if (s.ok()) results += entries.size();
-    });
+    pier::QueryPlan join =
+        pier::PlanBuilder()
+            .IndexScan("inverted", pier::Value(std::string("alpha")))
+            .RehashJoin("inverted", pier::Value(std::string("beta")))
+            .Build();
+    c.piers[3]->ExecutePlan(std::move(join),
+                            [&](Status s, std::vector<pier::Tuple> rows,
+                                const pier::Completeness&) {
+                              if (s.ok()) results += rows.size();
+                            });
     c.simulator.Run();
     peak_bytes += c.network.LoadOf(slow).peak_in_flight_bytes;
     stalls += c.metrics.credits_stalled;
@@ -796,13 +801,12 @@ static void BM_CreditJoin_Credited(benchmark::State& state) {
 }
 BENCHMARK(BM_CreditJoin_Credited)->Unit(benchmark::kMillisecond);
 
-// Declarative-plan execution vs the legacy hardwired join path: the same
-// published library, the same 25 two-term searches — once through direct
-// ExecuteJoin calls shaped exactly like the pre-plan SearchEngine, once
-// compiled to QueryPlans and run through ExecutePlan (what SearchEngine
-// does now). The plan path must return identical result counts at message
-// parity: run_bench.sh gates plan_chain_message_parity >= 0.9x.
-static void PlanExecRun(benchmark::State& state, bool plan_api) {
+// Declarative-plan execution: 25 two-term searches over one published
+// library, compiled to QueryPlans and run through ExecutePlan.
+// run_bench.sh gates its counted cost at the numbers the retired
+// hardwired join path recorded (net_messages <= 109, net_bytes <= 20403,
+// results == 100).
+static void BM_PlanExec_PlanCompiled(benchmark::State& state) {
   const size_t kFiles = 400, kNodes = 16, kQueries = 25;
   uint64_t net_messages = 0, net_bytes = 0, results = 0;
   for (auto _ : state) {
@@ -827,24 +831,10 @@ static void PlanExecRun(benchmark::State& state, bool plan_api) {
     for (size_t q = 0; q < kQueries; ++q) {
       std::string a = "artist" + std::to_string(q % 20);
       std::string b = "album" + std::to_string(q % 50);
-      if (plan_api) {
-        engine.Search(a + " " + b, sopts, [&](Status s, auto hits) {
-          if (s.ok()) results += hits.size();
-        });
-      } else {
-        pier::DistributedJoin join;
-        join.limit = sopts.max_results;
-        for (const std::string& term : {a, b}) {
-          pier::JoinStage stage;
-          stage.ns = piersearch::InvertedSchema().table_name();
-          stage.key = pier::Value(term);
-          join.stages.push_back(std::move(stage));
-        }
-        c.piers[1]->ExecuteJoin(std::move(join),
-                                [&](Status s, auto entries) {
-                                  if (s.ok()) results += entries.size();
-                                });
-      }
+      engine.Search(a + " " + b, sopts, [&](Status s, auto hits,
+                                            const pier::Completeness&) {
+        if (s.ok()) results += hits.size();
+      });
     }
     c.simulator.Run();
     net_messages += c.network.metrics().total.messages - base_msgs;
@@ -857,15 +847,6 @@ static void PlanExecRun(benchmark::State& state, bool plan_api) {
   state.counters["net_messages"] = per_iter(net_messages);
   state.counters["net_bytes"] = per_iter(net_bytes);
   state.counters["results"] = per_iter(results);
-}
-
-static void BM_PlanExec_LegacyJoin(benchmark::State& state) {
-  PlanExecRun(state, /*plan_api=*/false);
-}
-BENCHMARK(BM_PlanExec_LegacyJoin)->Unit(benchmark::kMillisecond);
-
-static void BM_PlanExec_PlanCompiled(benchmark::State& state) {
-  PlanExecRun(state, /*plan_api=*/true);
 }
 BENCHMARK(BM_PlanExec_PlanCompiled)->Unit(benchmark::kMillisecond);
 
@@ -906,7 +887,8 @@ static void RoutingSteadyStateRun(benchmark::State& state, bool cached) {
     auto fetch_round = [&]() {
       std::vector<pier::Value> round_keys = keys;
       c.piers[1]->FetchMany(piersearch::ItemSchema(), std::move(round_keys),
-                            [&](Status s, std::vector<pier::Tuple> tuples) {
+                            [&](Status s, std::vector<pier::Tuple> tuples,
+                                const pier::Completeness&) {
                               if (s.ok() && count_fetches) {
                                 fetched += tuples.size();
                               }
@@ -1112,7 +1094,7 @@ struct ChurnBench {
   static constexpr size_t kReplication = 3;
   static constexpr char kNs[] = "churn";
 
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   sim::FaultPlan plan;
   sim::Network network;
   dht::DhtDeployment dht;
@@ -1198,7 +1180,8 @@ static void BM_Churn_SustainedRecall(benchmark::State& state) {
     size_t tick = 0;
     for (sim::SimTime t = c.simulator.now() + 2 * sim::kSecond;
          t < c.simulator.now() + kWindow; t += 2 * sim::kSecond, ++tick) {
-      c.simulator.ScheduleAt(t, [&c, &asked, &answered, tick] {
+      c.simulator.ScheduleAt(sim::kDriverHost, t,
+                             [&c, &asked, &answered, tick] {
         for (size_t j = 0; j < kPerTick; ++j) {
           dht::Key k = c.keys[(tick * kPerTick + j) % c.keys.size()];
           ++asked;
@@ -1461,7 +1444,7 @@ constexpr size_t kNodes = 16;
 /// Maintained replication-3 cluster with a fault plan — the query-plane
 /// robustness features only engage against a ring that can fail over.
 struct RobustCluster {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   sim::FaultPlan faults{99};
   sim::Network network;
   dht::DhtDeployment dht;
@@ -1543,24 +1526,19 @@ static void BM_Robust_CrashFailoverRecall(benchmark::State& state) {
       // The ring has shifted under previous crashes: re-resolve the owner.
       dht::DhtNode* owner = c.OwnerOf("inverted", pier::Value(kw));
       if (owner == nullptr) continue;
-      pier::DistributedJoin join;
-      pier::JoinStage stage;
-      stage.ns = "inverted";
-      stage.key = pier::Value(kw);
-      join.stages.push_back(std::move(stage));
       size_t got = 0;
       bool fired = false;
       asked += kPostings;
-      c.piers[c.SurvivorIndex(owner)]->ExecuteJoin(
-          std::move(join),
-          [&](Status s, std::vector<pier::JoinResultEntry> entries,
+      c.piers[c.SurvivorIndex(owner)]->ExecutePlan(
+          pier::PlanBuilder().IndexScan("inverted", pier::Value(kw)).Build(),
+          [&](Status s, std::vector<pier::Tuple> rows,
               const pier::Completeness&) {
             (void)s;
             fired = true;
-            got = entries.size();
+            got = rows.size();
           },
           kDeadline);
-      c.simulator.ScheduleAfter(2 * sim::kMillisecond,
+      c.simulator.ScheduleAfter(sim::kDriverHost, 2 * sim::kMillisecond,
                                 [owner] { owner->Crash(); });
       c.simulator.RunFor(kDeadline + 5 * sim::kSecond);
       answered += got;
@@ -1679,20 +1657,17 @@ static void BM_Robust_AdmissionOverload(benchmark::State& state) {
     dht::DhtNode* owner = c.OwnerOf("inverted", pier::Value("alpha"));
     size_t origin = c.SurvivorIndex(owner);
     auto one_stage = [] {
-      pier::DistributedJoin join;
-      pier::JoinStage stage;
-      stage.ns = "inverted";
-      stage.key = pier::Value("alpha");
-      join.stages.push_back(std::move(stage));
-      return join;
+      return pier::PlanBuilder()
+          .IndexScan("inverted", pier::Value("alpha"))
+          .Build();
     };
 
     size_t idle_ids = 0;
-    c.piers[origin]->ExecuteJoin(
+    c.piers[origin]->ExecutePlan(
         one_stage(),
-        [&](Status s, std::vector<pier::JoinResultEntry> entries,
+        [&](Status s, std::vector<pier::Tuple> rows,
             const pier::Completeness&) {
-          if (s.ok()) idle_ids = entries.size();
+          if (s.ok()) idle_ids = rows.size();
         },
         20 * sim::kSecond);
     c.simulator.RunFor(25 * sim::kSecond);
@@ -1706,7 +1681,8 @@ static void BM_Robust_AdmissionOverload(benchmark::State& state) {
         HashCombine(Fnv1a64("inverted"), pier::Value("alpha").Hash());
     for (size_t i = 0; i < 4000; ++i) {
       c.simulator.ScheduleAfter(
-          i * 10 * sim::kMillisecond, [&c, origin, pressure_key] {
+          sim::kDriverHost, i * 10 * sim::kMillisecond,
+          [&c, origin, pressure_key] {
             c.dht.node(origin)->Put("pressure", pressure_key, {0xA, 0xB}, 0,
                                     nullptr);
           });
@@ -1716,11 +1692,11 @@ static void BM_Robust_AdmissionOverload(benchmark::State& state) {
     bool fired = false;
     pier::Completeness shed_comp;
     Status shed_status = Status::OK();
-    c.piers[origin]->ExecuteJoin(
+    c.piers[origin]->ExecutePlan(
         one_stage(),
-        [&](Status s, std::vector<pier::JoinResultEntry> entries,
+        [&](Status s, std::vector<pier::Tuple> rows,
             const pier::Completeness& comp) {
-          (void)entries;
+          (void)rows;
           fired = true;
           shed_status = std::move(s);
           shed_comp = comp;

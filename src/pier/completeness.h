@@ -15,7 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "sim/simulator.h"
+#include "sim/executor.h"
 
 namespace pierstack::pier {
 

@@ -25,7 +25,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -190,34 +189,10 @@ struct BatchOptions {
   size_t admission_defer_budget = 2;
 };
 
-/// One stage of a distributed join chain (one keyword, in PIERSearch).
-/// Legacy description consumed by the ExecuteJoin adapter, which lowers it
-/// into a plan ExecStage (substring filters become Expr::Contains trees).
-struct JoinStage {
-  std::string ns;            ///< Table namespace, e.g. "inverted".
-  Value key;                 ///< DHT key value, e.g. Value("madonna").
-  size_t key_col = 0;        ///< Column that must equal `key`.
-  size_t join_col = 1;       ///< Join attribute column (fileID).
-  /// Columns carried as payload from this stage's tuples (only the stage
-  /// that first produces an entry contributes payload — stage 0 in a
-  /// chain). Empty = carry the join key only.
-  std::vector<size_t> payload_cols;
-  /// If set, tuples must contain all these strings as substrings of
-  /// column `filter_col` (the InvertedCache plan's in-situ selection).
-  std::vector<std::string> substring_filter;
-  size_t filter_col = SIZE_MAX;
-};
-
 /// A join-chain result entry: the join key plus the stage-0 payload.
 struct JoinResultEntry {
   Value join_key;
   Tuple payload;
-};
-
-/// Parameters of one distributed join execution.
-struct DistributedJoin {
-  std::vector<JoinStage> stages;
-  size_t limit = SIZE_MAX;  ///< Cap on result entries returned.
 };
 
 /// Encodes an entry list as a TupleBatch wire image — one row per entry,
@@ -236,8 +211,6 @@ class PierNode {
  public:
   /// Query-plane callbacks carry a Completeness record (see
   /// pier/completeness.h): partial answers are labeled, never silent.
-  /// Legacy two-argument callables keep working through the template
-  /// adapters below, which drop the record at the call boundary.
   using JoinCallback = std::function<void(Status, std::vector<JoinResultEntry>,
                                           const Completeness&)>;
   using PlanCallback =
@@ -289,22 +262,6 @@ class PierNode {
   /// Fetches all tuples of `schema` keyed by `key` from the owner node.
   void Fetch(const Schema& schema, const Value& key, FetchCallback callback);
 
-  /// Legacy two-argument adapter: a callable not expecting the
-  /// Completeness record compiles unchanged (the record is dropped here;
-  /// the result is still counted and labeled internally). SFINAE keeps the
-  /// three-argument std::function overloads the exact-match winners.
-  template <typename F,
-            std::enable_if_t<
-                std::is_invocable_v<F&, Status, std::vector<Tuple>>, int> = 0>
-  void Fetch(const Schema& schema, const Value& key, F callback) {
-    Fetch(schema, key,
-          FetchCallback([cb = std::move(callback)](
-                            Status s, std::vector<Tuple> rows,
-                            const Completeness&) mutable {
-            cb(std::move(s), std::move(rows));
-          }));
-  }
-
   /// Owner-coalesced multi-key fetch: all tuples of `schema` keyed by any
   /// of `keys`, grouped by resolved owner so a K-owner key set costs K
   /// routed get messages with one TupleBatch reply per owner (see
@@ -312,36 +269,11 @@ class PierNode {
   void FetchMany(const Schema& schema, std::vector<Value> keys,
                  FetchCallback callback);
 
-  template <typename F,
-            std::enable_if_t<
-                std::is_invocable_v<F&, Status, std::vector<Tuple>>, int> = 0>
-  void FetchMany(const Schema& schema, std::vector<Value> keys, F callback) {
-    FetchMany(schema, std::move(keys),
-              FetchCallback([cb = std::move(callback)](
-                                Status s, std::vector<Tuple> rows,
-                                const Completeness&) mutable {
-                cb(std::move(s), std::move(rows));
-              }));
-  }
-
   /// FetchMany without a Schema object: all tuples of namespace `ns` whose
   /// column `index_field` equals one of `keys` — what serialized plans
   /// carry (a FetchJoin node names the table, not a C++ Schema).
   void FetchManyByField(const std::string& ns, size_t index_field,
                         std::vector<Value> keys, FetchCallback callback);
-
-  template <typename F,
-            std::enable_if_t<
-                std::is_invocable_v<F&, Status, std::vector<Tuple>>, int> = 0>
-  void FetchManyByField(const std::string& ns, size_t index_field,
-                        std::vector<Value> keys, F callback) {
-    FetchManyByField(ns, index_field, std::move(keys),
-                     FetchCallback([cb = std::move(callback)](
-                                       Status s, std::vector<Tuple> rows,
-                                       const Completeness&) mutable {
-                       cb(std::move(s), std::move(rows));
-                     }));
-  }
 
   /// Asks the owner of (ns, key) for its posting-list size — the optimizer
   /// probe behind the "smaller posting lists first" ordering.
@@ -358,42 +290,6 @@ class PierNode {
   /// otherwise.
   void ExecutePlan(QueryPlan plan, PlanCallback callback,
                    sim::SimTime timeout = 30 * sim::kSecond);
-
-  template <typename F,
-            std::enable_if_t<
-                std::is_invocable_v<F&, Status, std::vector<Tuple>>, int> = 0>
-  void ExecutePlan(QueryPlan plan, F callback,
-                   sim::SimTime timeout = 30 * sim::kSecond) {
-    ExecutePlan(std::move(plan),
-                PlanCallback([cb = std::move(callback)](
-                                 Status s, std::vector<Tuple> rows,
-                                 const Completeness&) mutable {
-                  cb(std::move(s), std::move(rows));
-                }),
-                timeout);
-  }
-
-  /// Runs a distributed join chain; the callback fires with the surviving
-  /// entries (or a timeout error). Thin adapter over the plan engine: the
-  /// stages are lowered to ExecStages and executed exactly as a compiled
-  /// plan chain would be.
-  void ExecuteJoin(DistributedJoin join, JoinCallback callback,
-                   sim::SimTime timeout = 30 * sim::kSecond);
-
-  template <typename F,
-            std::enable_if_t<std::is_invocable_v<F&, Status,
-                                                 std::vector<JoinResultEntry>>,
-                             int> = 0>
-  void ExecuteJoin(DistributedJoin join, F callback,
-                   sim::SimTime timeout = 30 * sim::kSecond) {
-    ExecuteJoin(std::move(join),
-                JoinCallback([cb = std::move(callback)](
-                                 Status s, std::vector<JoinResultEntry> rows,
-                                 const Completeness&) mutable {
-                  cb(std::move(s), std::move(rows));
-                }),
-                timeout);
-  }
 
  private:
   // Routed app types (offsets from dht::kAppUserBase).
@@ -479,14 +375,11 @@ class PierNode {
     uint32_t generation = 0;  ///< Stamped onto every forwarded chunk.
   };
 
-  /// The shared distributed engine behind ExecutePlan and ExecuteJoin:
-  /// runs the staged chain, accumulating chunked replies at this node.
-  /// `top_level` queries count their own non-exact results into
-  /// partial_results; composed callers (ExecutePlan) pass false and count
-  /// once at their own final resolution.
+  /// The distributed engine behind ExecutePlan: runs the staged chain,
+  /// accumulating chunked replies at this node. ExecutePlan counts a
+  /// non-exact result into partial_results once, at its own resolution.
   void ExecuteStaged(std::shared_ptr<const StagedQuery> query,
-                     JoinCallback callback, sim::SimTime timeout,
-                     bool top_level = true);
+                     JoinCallback callback, sim::SimTime timeout);
 
   /// FetchManyByField body with the partial-result accounting flag (plan
   /// fetch legs pass top_level=false; their plan counts the partial once).
@@ -506,8 +399,7 @@ class PierNode {
   /// the labeled partial.
   void CheckJoinProgress(uint64_t qid);
   /// Resolves a pending join: folds the returned weight fraction into its
-  /// Completeness, counts a labeled partial when non-exact, fires the
-  /// callback, and erases the entry.
+  /// Completeness, fires the callback, and erases the entry.
   void ResolveJoin(uint64_t qid, Status s);
   /// Stage-0 admission decision at the stage owner. Refusals count
   /// plans_shed and send a kPlanRefused envelope (with a pressure-scaled
@@ -598,9 +490,6 @@ class PierNode {
     sim::SimTime watchdog_interval = 0;
     uint64_t watchdog_weight = 0;  ///< weight_received at the last check.
     sim::EventId watchdog = sim::kInvalidEventId;
-    /// True for ExecuteJoin/direct callers: a non-exact resolution counts
-    /// into partial_results here (plan-composed queries count at the plan).
-    bool top_level = true;
     Completeness completeness;
   };
   std::map<uint64_t, PendingJoin> pending_joins_;

@@ -280,8 +280,7 @@ void PierNode::ExecutePlan(QueryPlan plan, PlanCallback callback,
   auto staged = std::make_shared<const StagedQuery>(cp->staged);
   sim::Executor* simulator = dht_->network()->executor();
   sim::SimTime deadline = simulator->now() + timeout;
-  // The staged leg runs with top_level=false: the plan is the top-level
-  // query here, and counts its own (merged) completeness exactly once at
+  // The plan counts its own (merged) completeness exactly once, at
   // whichever resolution path fires below.
   ExecuteStaged(
       std::move(staged),
@@ -375,7 +374,7 @@ void PierNode::ExecutePlan(QueryPlan plan, PlanCallback callback,
             },
             /*top_level=*/false);
       },
-      timeout, /*top_level=*/false);
+      timeout);
 }
 
 }  // namespace pierstack::pier

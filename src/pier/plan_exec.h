@@ -7,8 +7,7 @@
 // distributed stage is an index scan at the stage key's owner with an
 // optional serializable Expr filter and payload projection, symmetric-
 // hash-joined against the incoming entry list. Join chains are the
-// two-table special case; ExecuteJoin survives as a thin adapter that
-// lowers a DistributedJoin into the same StagedQuery.
+// two-table special case.
 #pragma once
 
 #include <string>

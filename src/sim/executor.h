@@ -2,18 +2,14 @@
 // against, decoupling DhtNode/PierNode/Gnutella code from any particular
 // event-loop backend.
 //
-// Three backends implement it:
-//  * sim::Simulator (simulator.h) — the legacy single-threaded loop with
-//    global-FIFO timestamp tie-break; the default for existing tests,
-//    bit-compatible with pre-seam behavior.
-//  * sim::SerialExecutor (below) — single-threaded, but orders equal-time
-//    events by the *canonical key* (time, origin host, per-origin seq).
-//    This is the reference ordering a parallel backend can reproduce, and
-//    the baseline every sharded run is fingerprint-checked against.
+// Two backends implement it, and both order equal-time events by the
+// *canonical key* (time, origin host, per-origin seq):
+//  * sim::SerialExecutor (below) — single-threaded; the one reference
+//    event order every test, bench and sharded run is checked against.
 //  * sim::ShardedExecutor (shard.h) — N worker threads, hosts partitioned
 //    across per-shard queues, advancing in barrier epochs bounded by the
-//    minimum network latency (the lookahead). Same canonical key, so a
-//    fixed seed yields the same counters and answers as SerialExecutor.
+//    minimum network latency (the lookahead), so a fixed seed yields the
+//    same counters and answers as SerialExecutor.
 //
 // Why the canonical key works across backends: an event's key is assigned
 // by its *scheduling context* (the host whose handler scheduled it, or the
@@ -23,7 +19,7 @@
 // schedules — same children, same keys — regardless of how events of
 // *different* hosts interleave in wall-clock time.
 //
-// Both canonical backends keep their events in detail::CanonicalQueue: an
+// Both backends keep their events in detail::CanonicalQueue: an
 // indexed 4-ary min-heap of small (time, origin, origin_seq, slot) keys
 // whose closures sit in a pool of generation-stamped slots. Cancelling
 // removes the event from the heap at once (timeouts are cancelled far more

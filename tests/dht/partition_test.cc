@@ -25,12 +25,14 @@ std::vector<uint8_t> Bytes(const std::string& s) {
 }
 
 struct Deployment {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   sim::FaultPlan plan;
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<DhtDeployment> dht;
 
-  explicit Deployment(size_t n, uint64_t fault_seed = 0xF00D) : plan(fault_seed) {
+  explicit Deployment(size_t n, uint64_t fault_seed = 0xF00D,
+                      RoutingPolicyKind policy = DefaultRoutingPolicyKind())
+      : plan(fault_seed) {
     network = std::make_unique<sim::Network>(
         &simulator,
         std::make_unique<sim::ConstantLatency>(2 * sim::kMillisecond), 42);
@@ -39,6 +41,7 @@ struct Deployment {
     opts.overlay = OverlayKind::kChord;
     opts.replication = 3;
     opts.maintenance = true;
+    opts.routing_policy = policy;
     dht = std::make_unique<DhtDeployment>(network.get(), n, opts, 777);
   }
 
@@ -58,7 +61,8 @@ struct Deployment {
 };
 
 TEST(PartitionTest, SplitBrainMergeRestoresOneRingAndRecall) {
-  Deployment d(16);
+  // Classic routing disables the owner cache whose stale hints are counted.
+  Deployment d(16, 0xF00D, RoutingPolicyKind::kCongestionAware);
   Rng rng(5);
   RingOracle oracle(d.dht.get());
   std::vector<Key> keys;
@@ -85,7 +89,7 @@ TEST(PartitionTest, SplitBrainMergeRestoresOneRingAndRecall) {
   // Mid-split, both sides accept a write under the SAME key: the classic
   // split-brain divergence the merge must union, not clobber.
   Key divergent = KeyForString("divergent-key");
-  d.simulator.ScheduleAt(70 * sim::kSecond, [&] {
+  d.simulator.ScheduleAt(sim::kDriverHost, 70 * sim::kSecond, [&] {
     d.dht->node(2)->Put("ns2", divergent, Bytes("side-a"));
     d.dht->node(10)->Put("ns2", divergent, Bytes("side-b"));
   });

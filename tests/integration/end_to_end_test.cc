@@ -174,7 +174,7 @@ TEST(EndToEndTest, PublishedBytesAccounted) {
 // slow stage owner consumes a chunked join — all surfaced through one
 // CounterSet (the common/stats reporting currency).
 TEST(EndToEndTest, TransportCountersSurfaced) {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   sim::Network network(&simulator,
                        std::make_unique<sim::ConstantLatency>(
                            5 * sim::kMillisecond),
@@ -235,7 +235,8 @@ TEST(EndToEndTest, TransportCountersSurfaced) {
   // peel at replicas.
   size_t fetched = 0;
   piers[2]->FetchMany(items, item_keys,
-                      [&](Status s, std::vector<pier::Tuple> tuples) {
+                      [&](Status s, std::vector<pier::Tuple> tuples,
+                          const pier::Completeness&) {
                         ASSERT_TRUE(s.ok()) << s.ToString();
                         fetched = tuples.size();
                       });
@@ -246,7 +247,8 @@ TEST(EndToEndTest, TransportCountersSurfaced) {
   // owners' arcs, so the warm scatter must hit the owner location cache.
   fetched = 0;
   piers[2]->FetchMany(items, item_keys,
-                      [&](Status s, std::vector<pier::Tuple> tuples) {
+                      [&](Status s, std::vector<pier::Tuple> tuples,
+                          const pier::Completeness&) {
                         ASSERT_TRUE(s.ok()) << s.ToString();
                         fetched = tuples.size();
                       });
@@ -259,17 +261,17 @@ TEST(EndToEndTest, TransportCountersSurfaced) {
       HashCombine(Fnv1a64("inverted"), pier::Value(std::string("beta")).Hash());
   network.SetProcessingDelay(dht.ExpectedOwner(beta_key)->host(),
                              20 * sim::kMillisecond);
-  pier::DistributedJoin join;
-  for (const char* kw : {"alpha", "beta"}) {
-    pier::JoinStage stage;
-    stage.ns = "inverted";
-    stage.key = pier::Value(std::string(kw));
-    join.stages.push_back(std::move(stage));
-  }
+  pier::QueryPlan join =
+      pier::PlanBuilder()
+          .IndexScan("inverted", pier::Value(std::string("alpha")))
+          .RehashJoin("inverted", pier::Value(std::string("beta")))
+          .Build();
   size_t results = 0;
-  piers[5]->ExecuteJoin(std::move(join), [&](Status s, auto entries) {
+  piers[5]->ExecutePlan(std::move(join), [&](Status s,
+                                             std::vector<pier::Tuple> rows,
+                                             const pier::Completeness&) {
     ASSERT_TRUE(s.ok()) << s.ToString();
-    results = entries.size();
+    results = rows.size();
   });
   simulator.Run();
   EXPECT_EQ(results, 120u);

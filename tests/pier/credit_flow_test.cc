@@ -20,7 +20,7 @@ const Schema& InvSchema() {
 }
 
 struct Cluster {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<dht::DhtDeployment> dht;
   PierMetrics metrics;
@@ -48,15 +48,11 @@ struct Cluster {
     simulator.Run();
   }
 
-  DistributedJoin TwoStage() {
-    DistributedJoin join;
-    for (const char* kw : {"alpha", "beta"}) {
-      JoinStage stage;
-      stage.ns = "inverted";
-      stage.key = Value(std::string(kw));
-      join.stages.push_back(std::move(stage));
-    }
-    return join;
+  QueryPlan TwoStage() {
+    return PlanBuilder()
+        .IndexScan("inverted", Value(std::string("alpha")))
+        .RehashJoin("inverted", Value(std::string("beta")))
+        .Build();
   }
 
   sim::HostId OwnerOf(const std::string& kw) {
@@ -66,12 +62,13 @@ struct Cluster {
 
   std::set<uint64_t> RunJoin(int* completions = nullptr) {
     std::set<uint64_t> ids;
-    piers[3]->ExecuteJoin(TwoStage(), [&, completions](Status s,
-                                                       auto entries) {
-      if (completions) ++*completions;
-      EXPECT_TRUE(s.ok()) << s.ToString();
-      for (const auto& e : entries) ids.insert(e.join_key.AsUint64());
-    });
+    piers[3]->ExecutePlan(
+        TwoStage(), [&, completions](Status s, std::vector<Tuple> rows,
+                                     const Completeness&) {
+          if (completions) ++*completions;
+          EXPECT_TRUE(s.ok()) << s.ToString();
+          for (const Tuple& r : rows) ids.insert(r.at(0).AsUint64());
+        });
     simulator.Run();
     return ids;
   }
@@ -167,20 +164,19 @@ std::pair<std::string, std::string> DistinctOwnerKeywords(Cluster* c) {
 
 std::set<uint64_t> RunTwoKeywordJoin(Cluster* c, const std::string& kw0,
                                      const std::string& kw1) {
-  DistributedJoin join;
-  for (const std::string* kw : {&kw0, &kw1}) {
-    JoinStage stage;
-    stage.ns = "inverted";
-    stage.key = Value(*kw);
-    join.stages.push_back(std::move(stage));
-  }
+  QueryPlan plan = PlanBuilder()
+                       .IndexScan("inverted", Value(kw0))
+                       .RehashJoin("inverted", Value(kw1))
+                       .Build();
   std::set<uint64_t> ids;
   bool done = false;
-  c->piers[0]->ExecuteJoin(std::move(join), [&](Status s, auto entries) {
-    done = true;
-    EXPECT_TRUE(s.ok()) << s.ToString();
-    for (const auto& e : entries) ids.insert(e.join_key.AsUint64());
-  });
+  c->piers[0]->ExecutePlan(
+      std::move(plan),
+      [&](Status s, std::vector<Tuple> rows, const Completeness&) {
+        done = true;
+        EXPECT_TRUE(s.ok()) << s.ToString();
+        for (const Tuple& r : rows) ids.insert(r.at(0).AsUint64());
+      });
   c->simulator.Run();
   EXPECT_TRUE(done);
   return ids;
@@ -247,12 +243,12 @@ TEST(CreditFlowTest, StarvedStreamExpiresAndJoinTimesOutWithPartial) {
   // time out with the partial-result contract intact.
   c.network->SetProcessingDelay(c.OwnerOf("beta"), 60 * sim::kSecond);
   bool done = false;
-  c.piers[3]->ExecuteJoin(
+  c.piers[3]->ExecutePlan(
       c.TwoStage(),
-      [&](Status s, auto entries) {
+      [&](Status s, std::vector<Tuple> rows, const Completeness&) {
         done = true;
         EXPECT_FALSE(s.ok());  // timed out, not completed
-        (void)entries;         // whatever chunks made it — none here
+        (void)rows;            // whatever chunks made it — none here
       },
       /*timeout=*/20 * sim::kSecond);
   c.simulator.Run();

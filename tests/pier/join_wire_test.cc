@@ -83,7 +83,7 @@ TEST(JoinWireTest, CorruptTailCountsDropped) {
 }
 
 struct Cluster {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<dht::DhtDeployment> dht;
   PierMetrics metrics;
@@ -113,16 +113,12 @@ struct Cluster {
     simulator.Run();
   }
 
-  DistributedJoin TwoStage(size_t limit = SIZE_MAX) {
-    DistributedJoin join;
-    for (const char* kw : {"alpha", "beta"}) {
-      JoinStage stage;
-      stage.ns = "inverted";
-      stage.key = Value(std::string(kw));
-      join.stages.push_back(std::move(stage));
-    }
-    join.limit = limit;
-    return join;
+  QueryPlan TwoStage(size_t limit = SIZE_MAX) {
+    PlanBuilder b;
+    b.IndexScan("inverted", Value(std::string("alpha")))
+        .RehashJoin("inverted", Value(std::string("beta")));
+    if (limit != SIZE_MAX) b.Limit(limit);
+    return b.Build();
   }
 };
 
@@ -135,14 +131,13 @@ TEST(JoinWireTest, ChunkedStageStreamingReturnsCompleteAnswer) {
   chunked.PublishPostings("beta", 50, 150);
   std::set<uint64_t> ids;
   int completions = 0;
-  chunked.piers[3]->ExecuteJoin(chunked.TwoStage(),
-                                [&](Status s, auto entries) {
-                                  ++completions;
-                                  ASSERT_TRUE(s.ok());
-                                  for (const auto& e : entries) {
-                                    ids.insert(e.join_key.AsUint64());
-                                  }
-                                });
+  chunked.piers[3]->ExecutePlan(
+      chunked.TwoStage(),
+      [&](Status s, std::vector<Tuple> rows, const Completeness&) {
+        ++completions;
+        ASSERT_TRUE(s.ok());
+        for (const Tuple& r : rows) ids.insert(r.at(0).AsUint64());
+      });
   chunked.simulator.Run();
   EXPECT_EQ(completions, 1);  // weight conservation: fires exactly once
   std::set<uint64_t> expect;
@@ -162,10 +157,12 @@ TEST(JoinWireTest, ChunkedAndUnchunkedAnswersMatch) {
   }
   auto run = [](Cluster* c) {
     std::set<uint64_t> ids;
-    c->piers[1]->ExecuteJoin(c->TwoStage(), [&](Status s, auto entries) {
-      EXPECT_TRUE(s.ok());
-      for (const auto& e : entries) ids.insert(e.join_key.AsUint64());
-    });
+    c->piers[1]->ExecutePlan(
+        c->TwoStage(),
+        [&](Status s, std::vector<Tuple> rows, const Completeness&) {
+          EXPECT_TRUE(s.ok());
+          for (const Tuple& r : rows) ids.insert(r.at(0).AsUint64());
+        });
     c->simulator.Run();
     return ids;
   };
@@ -181,11 +178,12 @@ TEST(JoinWireTest, LimitHoldsAcrossChunks) {
   c.PublishPostings("alpha", 0, 80);
   c.PublishPostings("beta", 0, 80);
   size_t got = 0;
-  c.piers[2]->ExecuteJoin(c.TwoStage(/*limit=*/10),
-                          [&](Status s, auto entries) {
-                            ASSERT_TRUE(s.ok());
-                            got = entries.size();
-                          });
+  c.piers[2]->ExecutePlan(
+      c.TwoStage(/*limit=*/10),
+      [&](Status s, std::vector<Tuple> rows, const Completeness&) {
+        ASSERT_TRUE(s.ok());
+        got = rows.size();
+      });
   c.simulator.Run();
   EXPECT_EQ(got, 10u);
 }

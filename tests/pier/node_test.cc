@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
 #include <set>
 
@@ -18,8 +19,24 @@ const Schema& InvSchema() {
   return *s;
 }
 
+/// The keyword join chain over "inverted": an IndexScan of the first
+/// keyword, one RehashJoin per further keyword.
+QueryPlan Chain(std::initializer_list<const char*> keywords) {
+  PlanBuilder b;
+  bool first = true;
+  for (const char* kw : keywords) {
+    if (first) {
+      b.IndexScan("inverted", Value(std::string(kw)));
+    } else {
+      b.RehashJoin("inverted", Value(std::string(kw)));
+    }
+    first = false;
+  }
+  return b.Build();
+}
+
 struct Cluster {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<dht::DhtDeployment> dht;
   PierMetrics metrics;
@@ -73,7 +90,8 @@ TEST(PierNodeTest, FetchReturnsAllTuplesForKey) {
   c.simulator.Run();
   std::vector<Tuple> got;
   c.pier(9)->Fetch(InvSchema(), Value(std::string("beatles")),
-                   [&](Status s, std::vector<Tuple> tuples) {
+                   [&](Status s, std::vector<Tuple> tuples,
+                       const Completeness&) {
                      ASSERT_TRUE(s.ok());
                      got = std::move(tuples);
                    });
@@ -85,16 +103,13 @@ TEST(PierNodeTest, SingleStageJoinReturnsPostingList) {
   Cluster c(16);
   for (uint64_t f : {10u, 20u, 30u}) c.PublishPosting(0, "solo", f);
   c.simulator.Run();
-  DistributedJoin join;
-  JoinStage stage;
-  stage.ns = "inverted";
-  stage.key = Value(std::string("solo"));
-  join.stages.push_back(stage);
   std::set<uint64_t> ids;
-  c.pier(5)->ExecuteJoin(join, [&](Status s, auto entries) {
-    ASSERT_TRUE(s.ok());
-    for (const auto& e : entries) ids.insert(e.join_key.AsUint64());
-  });
+  c.pier(5)->ExecutePlan(
+      Chain({"solo"}),
+      [&](Status s, std::vector<Tuple> rows, const Completeness&) {
+        ASSERT_TRUE(s.ok());
+        for (const Tuple& r : rows) ids.insert(r.at(0).AsUint64());
+      });
   c.simulator.Run();
   EXPECT_EQ(ids, (std::set<uint64_t>{10, 20, 30}));
 }
@@ -105,20 +120,15 @@ TEST(PierNodeTest, TwoStageChainIntersects) {
   for (uint64_t f : {1u, 2u, 3u}) c.PublishPosting(0, "alpha", f);
   for (uint64_t f : {2u, 3u, 4u}) c.PublishPosting(1, "beta", f);
   c.simulator.Run();
-  DistributedJoin join;
-  for (const char* kw : {"alpha", "beta"}) {
-    JoinStage stage;
-    stage.ns = "inverted";
-    stage.key = Value(std::string(kw));
-    join.stages.push_back(stage);
-  }
   std::set<uint64_t> ids;
   bool done = false;
-  c.pier(7)->ExecuteJoin(join, [&](Status s, auto entries) {
-    done = true;
-    ASSERT_TRUE(s.ok());
-    for (const auto& e : entries) ids.insert(e.join_key.AsUint64());
-  });
+  c.pier(7)->ExecutePlan(
+      Chain({"alpha", "beta"}),
+      [&](Status s, std::vector<Tuple> rows, const Completeness&) {
+        done = true;
+        ASSERT_TRUE(s.ok());
+        for (const Tuple& r : rows) ids.insert(r.at(0).AsUint64());
+      });
   c.simulator.Run();
   EXPECT_TRUE(done);
   EXPECT_EQ(ids, (std::set<uint64_t>{2, 3}));
@@ -130,18 +140,13 @@ TEST(PierNodeTest, ThreeStageChain) {
   for (uint64_t f : {2u, 3u, 4u, 5u}) c.PublishPosting(0, "b", f);
   for (uint64_t f : {3u, 4u, 6u}) c.PublishPosting(0, "c", f);
   c.simulator.Run();
-  DistributedJoin join;
-  for (const char* kw : {"a", "b", "c"}) {
-    JoinStage stage;
-    stage.ns = "inverted";
-    stage.key = Value(std::string(kw));
-    join.stages.push_back(stage);
-  }
   std::set<uint64_t> ids;
-  c.pier(3)->ExecuteJoin(join, [&](Status s, auto entries) {
-    ASSERT_TRUE(s.ok());
-    for (const auto& e : entries) ids.insert(e.join_key.AsUint64());
-  });
+  c.pier(3)->ExecutePlan(
+      Chain({"a", "b", "c"}),
+      [&](Status s, std::vector<Tuple> rows, const Completeness&) {
+        ASSERT_TRUE(s.ok());
+        for (const Tuple& r : rows) ids.insert(r.at(0).AsUint64());
+      });
   c.simulator.Run();
   EXPECT_EQ(ids, (std::set<uint64_t>{3, 4}));
 }
@@ -153,19 +158,14 @@ TEST(PierNodeTest, EmptyIntersectionShortCircuits) {
   c.PublishPosting(0, "tail", 3);
   c.simulator.Run();
   c.metrics = PierMetrics{};
-  DistributedJoin join;
-  for (const char* kw : {"left", "right", "tail"}) {
-    JoinStage stage;
-    stage.ns = "inverted";
-    stage.key = Value(std::string(kw));
-    join.stages.push_back(stage);
-  }
   bool done = false;
-  c.pier(2)->ExecuteJoin(join, [&](Status s, auto entries) {
-    done = true;
-    EXPECT_TRUE(s.ok());
-    EXPECT_TRUE(entries.empty());
-  });
+  c.pier(2)->ExecutePlan(
+      Chain({"left", "right", "tail"}),
+      [&](Status s, std::vector<Tuple> rows, const Completeness&) {
+        done = true;
+        EXPECT_TRUE(s.ok());
+        EXPECT_TRUE(rows.empty());
+      });
   c.simulator.Run();
   EXPECT_TRUE(done);
   // The chain stopped after stage 2 (empty after intersecting "right"):
@@ -177,19 +177,14 @@ TEST(PierNodeTest, MissingKeywordYieldsEmpty) {
   Cluster c(16);
   c.PublishPosting(0, "exists", 1);
   c.simulator.Run();
-  DistributedJoin join;
-  for (const char* kw : {"exists", "missing"}) {
-    JoinStage stage;
-    stage.ns = "inverted";
-    stage.key = Value(std::string(kw));
-    join.stages.push_back(stage);
-  }
   bool done = false;
-  c.pier(1)->ExecuteJoin(join, [&](Status s, auto entries) {
-    done = true;
-    EXPECT_TRUE(s.ok());
-    EXPECT_TRUE(entries.empty());
-  });
+  c.pier(1)->ExecutePlan(
+      Chain({"exists", "missing"}),
+      [&](Status s, std::vector<Tuple> rows, const Completeness&) {
+        done = true;
+        EXPECT_TRUE(s.ok());
+        EXPECT_TRUE(rows.empty());
+      });
   c.simulator.Run();
   EXPECT_TRUE(done);
 }
@@ -198,17 +193,17 @@ TEST(PierNodeTest, LimitCapsResults) {
   Cluster c(16);
   for (uint64_t f = 0; f < 50; ++f) c.PublishPosting(0, "many", f);
   c.simulator.Run();
-  DistributedJoin join;
-  JoinStage stage;
-  stage.ns = "inverted";
-  stage.key = Value(std::string("many"));
-  join.stages.push_back(stage);
-  join.limit = 10;
   size_t got = 0;
-  c.pier(1)->ExecuteJoin(join, [&](Status s, auto entries) {
-    ASSERT_TRUE(s.ok());
-    got = entries.size();
-  });
+  QueryPlan plan = PlanBuilder()
+                       .IndexScan("inverted", Value(std::string("many")))
+                       .Limit(10)
+                       .Build();
+  c.pier(1)->ExecutePlan(
+      std::move(plan),
+      [&](Status s, std::vector<Tuple> rows, const Completeness&) {
+        ASSERT_TRUE(s.ok());
+        got = rows.size();
+      });
   c.simulator.Run();
   EXPECT_EQ(got, 10u);
 }
@@ -225,25 +220,24 @@ TEST(PierNodeTest, SubstringFilterStage) {
   c.pier(0)->Publish(ic, Tuple({Value(std::string("moon")), Value(uint64_t{2}),
                                 Value(std::string("blue moon swing.mp3"))}));
   c.simulator.Run();
-  DistributedJoin join;
-  JoinStage stage;
-  stage.ns = "invcache";
-  stage.key = Value(std::string("moon"));
-  stage.key_col = 0;
-  stage.join_col = 1;
-  stage.payload_cols = {1, 2};
-  stage.filter_col = 2;
-  stage.substring_filter = {"dark"};
-  join.stages.push_back(stage);
-  std::vector<JoinResultEntry> got;
-  c.pier(4)->ExecuteJoin(join, [&](Status s, auto entries) {
-    ASSERT_TRUE(s.ok());
-    got = std::move(entries);
-  });
+  QueryPlan plan = PlanBuilder()
+                       .IndexScan("invcache", Value(std::string("moon")),
+                                  /*key_col=*/0, /*join_col=*/1)
+                       .Filter(Expr::Contains(Expr::Column(2), "dark"))
+                       .Project({1, 2})
+                       .Build();
+  std::vector<Tuple> got;
+  c.pier(4)->ExecutePlan(
+      std::move(plan),
+      [&](Status s, std::vector<Tuple> rows, const Completeness&) {
+        ASSERT_TRUE(s.ok());
+        got = std::move(rows);
+      });
   c.simulator.Run();
+  // Rows are [join_key, payload...].
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].join_key.AsUint64(), 1u);
-  EXPECT_EQ(got[0].payload.at(1).AsString(), "dark side moon.mp3");
+  EXPECT_EQ(got[0].at(0).AsUint64(), 1u);
+  EXPECT_EQ(got[0].at(2).AsString(), "dark side moon.mp3");
 }
 
 TEST(PierNodeTest, ProbePostingSize) {
@@ -274,14 +268,9 @@ TEST(PierNodeTest, ShippedEntriesCounted) {
   for (uint64_t f = 0; f < 20; f += 2) c.PublishPosting(0, "second", f);
   c.simulator.Run();
   c.metrics = PierMetrics{};
-  DistributedJoin join;
-  for (const char* kw : {"first", "second"}) {
-    JoinStage stage;
-    stage.ns = "inverted";
-    stage.key = Value(std::string(kw));
-    join.stages.push_back(stage);
-  }
-  c.pier(1)->ExecuteJoin(join, [](Status, auto) {});
+  c.pier(1)->ExecutePlan(
+      Chain({"first", "second"}),
+      [](Status, std::vector<Tuple>, const Completeness&) {});
   c.simulator.Run();
   // Stage 0 ships its 20 postings to stage 1.
   EXPECT_EQ(c.metrics.posting_entries_shipped, 20u);
@@ -291,16 +280,13 @@ TEST(PierNodeTest, WorksOnBambooOverlay) {
   Cluster c(32, dht::OverlayKind::kBamboo);
   for (uint64_t f : {1u, 2u}) c.PublishPosting(0, "bamboo", f);
   c.simulator.Run();
-  DistributedJoin join;
-  JoinStage stage;
-  stage.ns = "inverted";
-  stage.key = Value(std::string("bamboo"));
-  join.stages.push_back(stage);
   std::set<uint64_t> ids;
-  c.pier(9)->ExecuteJoin(join, [&](Status s, auto entries) {
-    ASSERT_TRUE(s.ok());
-    for (const auto& e : entries) ids.insert(e.join_key.AsUint64());
-  });
+  c.pier(9)->ExecutePlan(
+      Chain({"bamboo"}),
+      [&](Status s, std::vector<Tuple> rows, const Completeness&) {
+        ASSERT_TRUE(s.ok());
+        for (const Tuple& r : rows) ids.insert(r.at(0).AsUint64());
+      });
   c.simulator.Run();
   EXPECT_EQ(ids, (std::set<uint64_t>{1, 2}));
 }

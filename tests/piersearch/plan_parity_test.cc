@@ -1,8 +1,8 @@
 // The strategy-to-plan compilation contract: kDistributedJoin and
-// kInvertedCache searches now execute through PierNode::ExecutePlan, and
-// must return exactly the legacy ExecuteJoin path's answers at message
-// counts within 10% — plus the new SearchOptions::plan_rewrite hook and
-// the FetchItems deadline fix.
+// kInvertedCache searches execute through PierNode::ExecutePlan, and must
+// return exactly the answers of a hand-lowered reference plan followed by
+// a separate FetchItems, at message counts within 10% — plus the
+// SearchOptions::plan_rewrite hook and the FetchItems deadline fix.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,7 +17,7 @@ namespace pierstack::piersearch {
 namespace {
 
 struct Cluster {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<dht::DhtDeployment> dht;
   pier::PierMetrics metrics;
@@ -29,7 +29,7 @@ struct Cluster {
         std::make_unique<sim::ConstantLatency>(5 * sim::kMillisecond), 23);
     // Message-parity suite: pin the classic routing path so the owner
     // location cache (warmed by whichever strategy runs first) cannot
-    // skew the legacy-vs-plan message comparison.
+    // skew the reference-vs-engine message comparison.
     dht::DhtOptions dopts;
     dopts.routing_policy = dht::RoutingPolicyKind::kClassicChord;
     dht = std::make_unique<dht::DhtDeployment>(network.get(), n, dopts, 321);
@@ -60,48 +60,47 @@ void PublishCorpus(Cluster* c) {
   c->simulator.Run();
 }
 
-/// The legacy hardwired path, reconstructed exactly as the pre-plan
-/// SearchEngine built it: a DistributedJoin per strategy, ExecuteJoin, and
-/// FetchItems for the surviving fileIDs.
-std::set<uint64_t> LegacySearch(Cluster* c, size_t from,
-                                const std::vector<std::string>& terms,
-                                const SearchOptions& options) {
-  pier::DistributedJoin join;
-  join.limit = options.max_results;
+/// The reference path, lowered by hand the way the pre-plan SearchEngine
+/// described each strategy: one stage per keyword (or one InvertedCache
+/// stage with a Contains filter per remaining term), run through
+/// ExecutePlan, then FetchItems for the surviving fileIDs.
+std::set<uint64_t> ReferenceSearch(Cluster* c, size_t from,
+                                   const std::vector<std::string>& terms,
+                                   const SearchOptions& options) {
+  pier::PlanBuilder b;
   if (options.strategy == SearchStrategy::kInvertedCache) {
-    pier::JoinStage stage;
-    stage.ns = InvertedCacheSchema().table_name();
-    stage.key = pier::Value(terms[0]);
-    stage.key_col = kIcKeyword;
-    stage.join_col = kIcFileId;
-    stage.payload_cols = {kIcFileId, kIcFulltext};
-    stage.filter_col = kIcFulltext;
-    stage.substring_filter.assign(terms.begin() + 1, terms.end());
-    join.stages.push_back(std::move(stage));
+    b.IndexScan(InvertedCacheSchema().table_name(), pier::Value(terms[0]),
+                kIcKeyword, kIcFileId);
+    for (size_t t = 1; t < terms.size(); ++t) {
+      b.Filter(pier::Expr::Contains(pier::Expr::Column(kIcFulltext),
+                                    terms[t]));
+    }
+    b.Project({kIcFileId, kIcFulltext});
   } else {
-    for (const auto& term : terms) {
-      pier::JoinStage stage;
-      stage.ns = InvertedSchema().table_name();
-      stage.key = pier::Value(term);
-      stage.key_col = kInvKeyword;
-      stage.join_col = kInvFileId;
-      join.stages.push_back(std::move(stage));
+    b.IndexScan(InvertedSchema().table_name(), pier::Value(terms[0]),
+                kInvKeyword, kInvFileId);
+    for (size_t t = 1; t < terms.size(); ++t) {
+      b.RehashJoin(InvertedSchema().table_name(), pier::Value(terms[t]),
+                   kInvKeyword, kInvFileId);
     }
   }
+  b.Limit(options.max_results);
   std::set<uint64_t> ids;
   SearchEngine engine(c->pier(from));
-  c->pier(from)->ExecuteJoin(
-      std::move(join), [&](Status s, auto entries) {
+  c->pier(from)->ExecutePlan(
+      b.Build(), [&](Status s, std::vector<pier::Tuple> rows,
+                     const pier::Completeness&) {
         ASSERT_TRUE(s.ok()) << s.ToString();
         if (!options.fetch_items) {
-          for (const auto& e : entries) ids.insert(e.join_key.AsUint64());
+          for (const pier::Tuple& r : rows) ids.insert(r.at(0).AsUint64());
           return;
         }
         std::vector<uint64_t> file_ids;
-        for (const auto& e : entries) {
-          file_ids.push_back(e.join_key.AsUint64());
+        for (const pier::Tuple& r : rows) {
+          file_ids.push_back(r.at(0).AsUint64());
         }
-        engine.FetchItems(file_ids, options, [&](Status fs, auto hits) {
+        engine.FetchItems(file_ids, options, [&](Status fs, auto hits,
+                                                 const pier::Completeness&) {
           ASSERT_TRUE(fs.ok()) << fs.ToString();
           for (const auto& h : hits) ids.insert(h.file_id);
         });
@@ -116,7 +115,8 @@ std::set<uint64_t> PlanSearch(Cluster* c, size_t from,
   SearchEngine engine(c->pier(from));
   std::set<uint64_t> ids;
   bool done = false;
-  engine.Search(query, options, [&](Status s, auto hits) {
+  engine.Search(query, options, [&](Status s, auto hits,
+                                    const pier::Completeness&) {
     done = true;
     EXPECT_TRUE(s.ok()) << s.ToString();
     for (const auto& h : hits) ids.insert(h.file_id);
@@ -126,7 +126,7 @@ std::set<uint64_t> PlanSearch(Cluster* c, size_t from,
   return ids;
 }
 
-TEST(PlanParityTest, BothStrategiesMatchLegacyAnswersAndMessageCounts) {
+TEST(PlanParityTest, BothStrategiesMatchReferenceAnswersAndMessageCounts) {
   Cluster c(32);
   PublishCorpus(&c);
   struct Case {
@@ -147,20 +147,22 @@ TEST(PlanParityTest, BothStrategiesMatchLegacyAnswersAndMessageCounts) {
         options.fetch_items = fetch;
 
         uint64_t before = c.network->metrics().total.messages;
-        std::set<uint64_t> legacy = LegacySearch(&c, 4, tc.terms, options);
-        uint64_t legacy_msgs = c.network->metrics().total.messages - before;
+        std::set<uint64_t> reference =
+            ReferenceSearch(&c, 4, tc.terms, options);
+        uint64_t reference_msgs =
+            c.network->metrics().total.messages - before;
 
         before = c.network->metrics().total.messages;
         std::set<uint64_t> via_plan = PlanSearch(&c, 4, tc.query, options);
         uint64_t plan_msgs = c.network->metrics().total.messages - before;
 
-        EXPECT_EQ(via_plan, legacy)
+        EXPECT_EQ(via_plan, reference)
             << tc.query << " strategy=" << static_cast<int>(strategy);
         EXPECT_FALSE(via_plan.empty()) << tc.query;
-        // Message parity: the plan path rides the same staged transport —
-        // within 10% of the hardwired path (it is equal in practice).
-        EXPECT_LE(plan_msgs * 10, legacy_msgs * 11) << tc.query;
-        EXPECT_LE(legacy_msgs * 10, plan_msgs * 11) << tc.query;
+        // Message parity: the compiled plan rides the same staged
+        // transport — within 10% of the reference (equal in practice).
+        EXPECT_LE(plan_msgs * 10, reference_msgs * 11) << tc.query;
+        EXPECT_LE(reference_msgs * 10, plan_msgs * 11) << tc.query;
       }
     }
   }
@@ -186,7 +188,8 @@ TEST(PlanParityTest, OrderByPostingSizeRunsAsPlanRewrite) {
     so.order_by_posting_size = ordered;
     so.fetch_items = false;
     SearchEngine engine(c.pier(3));
-    engine.Search("popular gemstone", so, [&](Status s, auto hits) {
+    engine.Search("popular gemstone", so, [&](Status s, auto hits,
+                                              const pier::Completeness&) {
       ASSERT_TRUE(s.ok());
       EXPECT_EQ(hits.size(), 1u);
     });
@@ -244,7 +247,8 @@ TEST(PlanParityTest, FetchItemsHonorsQueryTimeout) {
   Status status = Status::OK();
   bool done = false;
   sim::SimTime finished = 0;
-  engine.FetchItems({id}, options, [&](Status s, auto hits) {
+  engine.FetchItems({id}, options, [&](Status s, auto hits,
+                                       const pier::Completeness&) {
     done = true;
     status = s;
     finished = c.simulator.now();

@@ -1,6 +1,7 @@
 // Executor seam backends: SerialExecutor's canonical (time, origin,
-// origin_seq) ordering, ShardedExecutor's barrier-epoch equivalence to it,
-// and MakeEnvExecutor's env-driven backend selection.
+// origin_seq) ordering and its Run/RunUntil/RunFor/Cancel contracts,
+// ShardedExecutor's barrier-epoch equivalence to it, and MakeEnvExecutor's
+// env-driven backend selection.
 #include "sim/executor.h"
 
 #include <gtest/gtest.h>
@@ -97,6 +98,90 @@ TEST(SerialExecutorTest, RunUntilExecutesDueAndSettlesClock) {
   ex.Run();
   EXPECT_EQ(ran, 2);
   EXPECT_EQ(ex.now(), 100 * kMillisecond);
+}
+
+TEST(SerialExecutorTest, RunsEventsInTimeOrder) {
+  SerialExecutor ex;
+  std::vector<int> order;
+  ex.ScheduleAt(kDriverHost, 30, [&] { order.push_back(3); });
+  ex.ScheduleAt(kDriverHost, 10, [&] { order.push_back(1); });
+  ex.ScheduleAt(kDriverHost, 20, [&] { order.push_back(2); });
+  ex.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(ex.now(), 30u);
+}
+
+TEST(SerialExecutorTest, ScheduleAfterUsesCurrentTime) {
+  SerialExecutor ex;
+  SimTime seen = 0;
+  ex.ScheduleAt(kDriverHost, 100, [&] {
+    ex.ScheduleAfter(kDriverHost, 50, [&] { seen = ex.now(); });
+  });
+  ex.Run();
+  EXPECT_EQ(seen, 150u);
+}
+
+TEST(SerialExecutorTest, EventsCanScheduleMoreEvents) {
+  SerialExecutor ex;
+  int count = 0;
+  std::function<void()> chain = [&] {
+    if (++count < 10) ex.ScheduleAfter(kDriverHost, 1, chain);
+  };
+  ex.ScheduleAt(kDriverHost, 0, chain);
+  ex.Run();
+  EXPECT_EQ(count, 10);
+  EXPECT_EQ(ex.now(), 9u);
+}
+
+TEST(SerialExecutorTest, RunUntilIncludesBoundaryEvents) {
+  SerialExecutor ex;
+  bool ran = false;
+  ex.ScheduleAt(kDriverHost, 25, [&] { ran = true; });
+  ex.RunUntil(25);
+  EXPECT_TRUE(ran);
+}
+
+TEST(SerialExecutorTest, RunForIsRelative) {
+  SerialExecutor ex;
+  ex.ScheduleAt(kDriverHost, 5, [] {});
+  ex.RunUntil(10);
+  int count = 0;
+  ex.ScheduleAfter(kDriverHost, 5, [&] { ++count; });
+  ex.ScheduleAfter(kDriverHost, 15, [&] { ++count; });
+  ex.RunFor(10);
+  EXPECT_EQ(count, 1);
+  EXPECT_EQ(ex.now(), 20u);
+}
+
+TEST(SerialExecutorTest, RunWithLimitStopsEarly) {
+  SerialExecutor ex;
+  int count = 0;
+  for (SimTime t = 0; t < 10; ++t) {
+    ex.ScheduleAt(kDriverHost, t, [&] { ++count; });
+  }
+  EXPECT_EQ(ex.Run(3), 3u);
+  EXPECT_EQ(count, 3);
+  EXPECT_EQ(ex.pending(), 7u);
+}
+
+TEST(SerialExecutorTest, ExecutedCounterAndPending) {
+  SerialExecutor ex;
+  ex.ScheduleAt(kDriverHost, 1, [] {});
+  ex.ScheduleAt(kDriverHost, 2, [] {});
+  EventId id = ex.ScheduleAt(kDriverHost, 3, [] {});
+  ex.Cancel(id);
+  EXPECT_EQ(ex.pending(), 2u);
+  ex.Run();
+  EXPECT_EQ(ex.events_executed(), 2u);
+}
+
+TEST(SerialExecutorTest, CancelledEventDoesNotAdvanceClock) {
+  SerialExecutor ex;
+  EventId id = ex.ScheduleAt(kDriverHost, 50, [] {});
+  ex.ScheduleAt(kDriverHost, 10, [] {});
+  ex.Cancel(id);
+  ex.Run();
+  EXPECT_EQ(ex.now(), 10u);
 }
 
 // A deterministic multi-host token workload: every host's digest folds in
