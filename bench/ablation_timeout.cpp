@@ -7,6 +7,7 @@
 // the share of queries re-issued into the DHT (the PIER query load).
 //
 //   ./build/bench/ablation_timeout [scale]
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -55,14 +56,17 @@ int main(int argc, char** argv) {
         }
       }
     }
-    dht::DhtDeployment dht(&network, 50, dht::DhtOptions{}, 314);
+    // One hybrid (and DHT node) per ultrapeer, up to 50; small scales have
+    // fewer ultrapeers than that.
+    size_t num_hybrids = std::min<size_t>(50, num_ups);
+    dht::DhtDeployment dht(&network, num_hybrids, dht::DhtOptions{}, 314);
     pier::PierMetrics pm;
     hybrid::HybridConfig hc;
     hc.gnutella_timeout =
         static_cast<sim::SimTime>(timeout_s * sim::kSecond);
     std::vector<std::unique_ptr<pier::PierNode>> piers;
     std::vector<std::unique_ptr<hybrid::HybridUltrapeer>> hybrids;
-    for (size_t i = 0; i < 50; ++i) {
+    for (size_t i = 0; i < num_hybrids; ++i) {
       piers.push_back(std::make_unique<pier::PierNode>(dht.node(i), &pm));
       hybrids.push_back(std::make_unique<hybrid::HybridUltrapeer>(
           gnet.ultrapeer(i), piers[i].get(), hc));
@@ -87,10 +91,10 @@ int main(int argc, char** argv) {
       ++tested;
       sim::SimTime start = simulator.now();
       auto first = std::make_shared<sim::SimTime>(0);
-      hybrids[tested % 50]->Query(trace.queries[q].text,
-                                  [first](const hybrid::HybridHit& h) {
-                                    if (*first == 0) *first = h.arrival;
-                                  });
+      hybrids[tested % num_hybrids]->Query(
+          trace.queries[q].text, [first](const hybrid::HybridHit& h) {
+            if (*first == 0) *first = h.arrival;
+          });
       simulator.Run();
       if (*first > 0) {
         ++answered;

@@ -14,6 +14,42 @@ namespace {
 /// Wire-size estimate for a NodeInfo (id + address).
 constexpr size_t kNodeInfoBytes = 12;
 
+constexpr size_t kRouteCacheCapacity = 256;
+/// A route still undelivered after this many hops is dropped (counted in
+/// routes_dropped) — far beyond O(log N) on any ring the stack builds.
+constexpr uint32_t kMaxRouteHops = 128;
+constexpr sim::SimTime kFixFingerInterval = 250 * sim::kMillisecond;
+/// How long stabilize waits for its successor's reply before declaring the
+/// successor failed.
+constexpr sim::SimTime kRpcTimeout = 2 * sim::kSecond;
+/// Unanswered failure-detector ping rounds after which a peer is evicted.
+constexpr uint32_t kPingMissThreshold = 2;
+/// Replica re-sync cadence: a node whose ownership or replica set changed
+/// anti-entropy-syncs its owned arc (digests out, missing entries pulled
+/// back) once per interval until clean.
+constexpr sim::SimTime kResyncInterval = 1 * sim::kSecond;
+/// Ring-merge reconciliation cadence: a node holding remembered
+/// (detector-evicted) peers probes one of them per interval. A live
+/// answer means the peer was partitioned, not dead — the probe/reply
+/// exchange cross-pollinates successor views and loopy stabilization
+/// knits the two rings back together (Bamboo-lineage reintegration;
+/// reactive-only recovery never re-merges a split brain). Low cadence on
+/// purpose: the steady-state cost is one tiny probe per interval per
+/// node that has evicted anyone, and zero otherwise.
+constexpr sim::SimTime kReconcileInterval = 2 * sim::kSecond;
+/// Re-send attempts for Get/GetBatch/MultiGet after an attempt timeout.
+constexpr uint32_t kGetRetries = 2;
+
+/// Deadline of retry attempt `attempt` (0-based): a geometric schedule T0,
+/// 2*T0, 4*T0, ... whose kGetRetries+1 attempts sum to kGetTimeout, so
+/// retries recover from a mid-flight owner crash WITHOUT extending the
+/// caller-visible deadline.
+sim::SimTime AttemptTimeout(uint32_t attempt) {
+  constexpr sim::SimTime kBase =
+      kGetTimeout / ((sim::SimTime{1} << (kGetRetries + 1)) - 1);
+  return kBase << attempt;
+}
+
 std::unique_ptr<RoutingTable> MakeRouting(OverlayKind kind, NodeInfo self) {
   switch (kind) {
     case OverlayKind::kChord:
@@ -78,12 +114,12 @@ struct MergeBody {
 DhtNode::DhtNode(sim::Network* network, Key id, const DhtOptions& options,
                  DhtMetrics* metrics)
     : network_(network), options_(options), metrics_(metrics),
-      route_cache_(options.route_cache_capacity) {
+      route_cache_(kRouteCacheCapacity) {
   assert(network != nullptr);
   assert(metrics != nullptr);
   sim::HostId host = network->AddHost(this);
   routing_ = MakeRouting(options.overlay, NodeInfo{id, host});
-  policy_ = MakeNextHopPolicy(options.routing_policy, options.congestion);
+  policy_ = MakeNextHopPolicy(options.routing_policy);
   load_probe_ = [this](sim::HostId h) { return network_->LoadOf(h); };
   if (ChordRouting* c = chord()) {
     c->set_replica_watch(
@@ -302,8 +338,8 @@ void DhtNode::ForwardOrDeliver(RouteMsg msg) {
   // replication lag, so the request continues to the owner for the
   // authoritative (possibly empty) answer.
   if ((msg.app_type == kAppGet || msg.app_type == kAppGetBatch) &&
-      options_.replication > 1 && options_.replica_aware_reads &&
-      joined_ && !routing_->IsOwner(msg.target)) {
+      options_.replication > 1 && joined_ &&
+      !routing_->IsOwner(msg.target)) {
     const auto& get = msg.body<GetBody>();
     if (store_.Has(get.ns, get.key, network_->executor()->now())) {
       ++metrics_->replica_peels;
@@ -366,7 +402,7 @@ void DhtNode::ForwardOrDeliver(RouteMsg msg) {
         return;
       }
     }
-    if (msg.hops >= options_.max_route_hops) {
+    if (msg.hops >= kMaxRouteHops) {
       ++metrics_->routes_dropped;
       return;
     }
@@ -561,17 +597,6 @@ void DhtNode::PutBatch(const std::string& ns, Key key,
   Route(key, kAppPutBatch, body, bytes, req_id);
 }
 
-sim::SimTime DhtNode::AttemptTimeout(uint32_t attempt) const {
-  // Geometric schedule T0, 2*T0, 4*T0, ... whose get_retries+1 attempts
-  // sum to get_timeout: retries recover from a mid-flight owner crash
-  // WITHOUT extending the caller-visible deadline. get_retries == 0
-  // degenerates to the single full-deadline attempt.
-  uint64_t slices = (uint64_t{1} << (options_.get_retries + 1)) - 1;
-  sim::SimTime base = options_.get_timeout / slices;
-  if (base == 0) base = 1;
-  return base << attempt;
-}
-
 void DhtNode::Get(const std::string& ns, Key key, GetCallback callback) {
   assert(callback != nullptr);
   ++metrics_->gets;
@@ -593,7 +618,7 @@ void DhtNode::OnGetAttemptTimeout(uint64_t req_id) {
   auto it = pending_gets_.find(req_id);
   if (it == pending_gets_.end()) return;
   PendingGet& p = it->second;
-  if (p.attempts < options_.get_retries) {
+  if (p.attempts < kGetRetries) {
     // The attempt died in flight (owner crashed, reply lost): re-send.
     // Ownership re-resolves on the ring under the current membership; the
     // reply path keys on req_id, so a late answer from the first attempt
@@ -634,7 +659,7 @@ void DhtNode::OnBatchGetAttemptTimeout(uint64_t req_id) {
   auto it = pending_batch_gets_.find(req_id);
   if (it == pending_batch_gets_.end()) return;
   PendingBatchGet& p = it->second;
-  if (p.attempts < options_.get_retries) {
+  if (p.attempts < kGetRetries) {
     ++p.attempts;
     ++metrics_->get_retries;
     p.timeout = network_->executor()->ScheduleAfter(host(), 
@@ -658,7 +683,7 @@ void DhtNode::OnMultiGetAttemptTimeout(uint64_t req_id) {
   auto it = pending_multi_gets_.find(req_id);
   if (it == pending_multi_gets_.end()) return;
   PendingMultiGet& p = it->second;
-  if (p.attempts < options_.get_retries && !p.unanswered.empty()) {
+  if (p.attempts < kGetRetries && !p.unanswered.empty()) {
     // Re-scatter the unanswered remainder as one chained walk. The owner
     // cache is deliberately not consulted for the retry: if the first
     // attempt died because ownership moved, the ring is the only
@@ -679,11 +704,6 @@ void DhtNode::OnMultiGetAttemptTimeout(uint64_t req_id) {
   std::vector<MultiGetItem> items = std::move(p.items);
   pending_multi_gets_.erase(it);
   cb(Status::TimedOut("dht multi get"), std::move(items));
-}
-
-void DhtNode::MultiGet(const std::string& ns, std::vector<Key> keys,
-                       MultiGetCallback callback) {
-  MultiGet(ns, std::move(keys), std::move(callback), MultiGetOptions{});
 }
 
 void DhtNode::MultiGet(const std::string& ns, std::vector<Key> keys,
@@ -747,7 +767,7 @@ void DhtNode::Lookup(Key target, LookupCallback callback) {
   PendingLookup pending;
   pending.callback = std::move(callback);
   pending.timeout = network_->executor()->ScheduleAfter(host(), 
-      options_.get_timeout, [this, req_id]() {
+      kGetTimeout, [this, req_id]() {
         auto it = pending_lookups_.find(req_id);
         if (it == pending_lookups_.end()) return;
         LookupCallback cb = std::move(it->second.callback);
@@ -1061,19 +1081,15 @@ void DhtNode::StartMaintenanceTimers() {
   stabilize_timer_ = network_->executor()->ScheduleAfter(host(), 
       options_.stabilize_interval + offset, [this]() { DoStabilize(); });
   fix_finger_timer_ = network_->executor()->ScheduleAfter(host(), 
-      options_.fix_finger_interval + offset, [this]() { DoFixFinger(); });
-  if (options_.failure_detector) {
-    detector_timer_ = network_->executor()->ScheduleAfter(host(), 
-        options_.ping_interval + offset, [this]() { DoFailureDetector(); });
-  }
+      kFixFingerInterval + offset, [this]() { DoFixFinger(); });
+  detector_timer_ = network_->executor()->ScheduleAfter(host(),
+      options_.ping_interval + offset, [this]() { DoFailureDetector(); });
   if (options_.replication > 1) {
     resync_timer_ = network_->executor()->ScheduleAfter(host(),
-        options_.resync_interval + offset, [this]() { DoResync(); });
+        kResyncInterval + offset, [this]() { DoResync(); });
   }
-  if (options_.reconcile_interval > 0) {
-    reconcile_timer_ = network_->executor()->ScheduleAfter(host(),
-        options_.reconcile_interval + offset, [this]() { DoReconcile(); });
-  }
+  reconcile_timer_ = network_->executor()->ScheduleAfter(host(),
+      kReconcileInterval + offset, [this]() { DoReconcile(); });
 }
 
 void DhtNode::DoStabilize() {
@@ -1099,7 +1115,7 @@ void DhtNode::DoStabilize() {
                                   kGetPredecessor, "dht.maint", 9,
                                   GetPredecessorBody{seq}))) {
       stabilize_timeout_ = network_->executor()->ScheduleAfter(host(), 
-          options_.rpc_timeout, [this, seq, suspect = succ.host]() {
+          kRpcTimeout, [this, seq, suspect = succ.host]() {
             OnStabilizeTimeout(seq, suspect);
           });
       return;
@@ -1121,7 +1137,7 @@ void DhtNode::OnStabilizeTimeout(uint64_t seq, sim::HostId suspect) {
 void DhtNode::DoFixFinger() {
   if (crashed_ || !joined_) return;
   fix_finger_timer_ = network_->executor()->ScheduleAfter(host(), 
-      options_.fix_finger_interval, [this]() { DoFixFinger(); });
+      kFixFingerInterval, [this]() { DoFixFinger(); });
   ChordRouting* c = chord();
   if (c == nullptr) return;
   size_t i = next_finger_;
@@ -1163,7 +1179,7 @@ void DhtNode::DoFailureDetector() {
   }
   for (sim::HostId t : targets) {
     uint32_t& misses = ping_outstanding_[t];
-    if (misses >= options_.ping_miss_threshold) {
+    if (misses >= kPingMissThreshold) {
       // Suspicion confirmed: unanswered for `misses` consecutive rounds.
       ping_outstanding_.erase(t);
       ++metrics_->detector_evictions;
@@ -1186,7 +1202,7 @@ void DhtNode::DoFailureDetector() {
 void DhtNode::DoResync() {
   if (crashed_ || !joined_) return;
   resync_timer_ = network_->executor()->ScheduleAfter(host(), 
-      options_.resync_interval, [this]() { DoResync(); });
+      kResyncInterval, [this]() { DoResync(); });
   if (!resync_dirty_ || options_.replication <= 1) return;
   ChordRouting* c = chord();
   if (c == nullptr) {
@@ -1295,7 +1311,7 @@ void DhtNode::HandleResyncPull(sim::HostId from, const sim::Message& msg) {
 void DhtNode::DoReconcile() {
   if (crashed_ || !joined_) return;
   reconcile_timer_ = network_->executor()->ScheduleAfter(host(),
-      options_.reconcile_interval, [this]() { DoReconcile(); });
+      kReconcileInterval, [this]() { DoReconcile(); });
   const auto& remembered = routing_->RememberedPeers();
   if (remembered.empty()) return;  // nobody evicted: the round is free
   reconcile_cursor_ %= remembered.size();

@@ -154,6 +154,10 @@ struct DhtMetrics {
   }
 };
 
+/// Caller-visible deadline of one Get/GetBatch/MultiGet (retries included)
+/// or Lookup.
+constexpr sim::SimTime kGetTimeout = 10 * sim::kSecond;
+
 /// Tunables for a DHT deployment.
 struct DhtOptions {
   OverlayKind overlay = OverlayKind::kChord;
@@ -164,13 +168,6 @@ struct DhtOptions {
   /// answers up to `replication` owners' key ranges at once. Off = always
   /// walk the primary owner chain (the K-owner baseline).
   bool replica_aware_multiget = true;
-  /// With replication > 1, single-key Get/GetBatch requests stop at the
-  /// first replica met on the routing path: an intermediate hop that holds
-  /// data under (ns, key) answers in the owner's stead (the same
-  /// Has-gated peel rule as the MultiGet arc answer — a hop with an EMPTY
-  /// store never short-circuits, so replication lag still resolves at the
-  /// owner authoritatively). Off = always route to the primary owner.
-  bool replica_aware_reads = true;
   /// Next-hop policy (dht/routing.h): kCongestionAware scores ring-progress
   /// candidates by remaining distance plus destination pressure and routes
   /// around backed-up hops; kClassicChord is the legacy distance-only path
@@ -182,47 +179,26 @@ struct DhtOptions {
   /// direct one-hop send before ring routing (see dht/route_cache.h).
   /// Ignored — forced off — under kClassicChord.
   bool owner_location_cache = true;
-  size_t route_cache_capacity = 256;
-  /// Congestion-penalty tuning for kCongestionAware.
-  CongestionPolicyOptions congestion;
-  uint32_t max_route_hops = 128;
-  /// Run periodic ring maintenance (stabilize + fix-fingers) on statically
-  /// bootstrapped nodes. Off by default so static simulations quiesce;
-  /// dynamically joined nodes always run maintenance.
+  /// Run periodic ring maintenance (stabilize + fix-fingers + the failure
+  /// detector) on statically bootstrapped nodes. Off by default so static
+  /// simulations quiesce; dynamically joined nodes always run maintenance.
   bool maintenance = false;
   sim::SimTime stabilize_interval = 500 * sim::kMillisecond;
-  sim::SimTime fix_finger_interval = 250 * sim::kMillisecond;
-  sim::SimTime rpc_timeout = 2 * sim::kSecond;
-  sim::SimTime get_timeout = 10 * sim::kSecond;
-  /// Proactive failure detector: periodic liveness pings to the ring
-  /// neighborhood (predecessor, leading successors, a rotating finger),
-  /// with eviction after `ping_miss_threshold` unanswered rounds. Runs
-  /// only where maintenance timers run; decoupled from the stabilize
-  /// cadence so suspicion latency is bounded by the ping interval, not by
-  /// whoever stabilize happens to probe. Matters most under partitions,
-  /// where refused-send detection never triggers (the peer is reachable
-  /// in neither direction, so nothing is ever sent to it to be refused).
-  bool failure_detector = true;
+  /// Cadence of the proactive failure detector's liveness pings (see
+  /// DoFailureDetector).
   sim::SimTime ping_interval = 300 * sim::kMillisecond;
-  uint32_t ping_miss_threshold = 2;
-  /// Replica re-sync cadence: a node whose ownership or replica set
-  /// changed anti-entropy-syncs its owned arc (digests out, missing
-  /// entries pulled back) once per interval until clean.
-  sim::SimTime resync_interval = 1 * sim::kSecond;
-  /// Ring-merge reconciliation cadence: a node holding remembered
-  /// (detector-evicted) peers probes one of them per interval. A live
-  /// answer means the peer was partitioned, not dead — the probe/reply
-  /// exchange cross-pollinates successor views and loopy stabilization
-  /// knits the two rings back together (Bamboo-lineage reintegration;
-  /// reactive-only recovery never re-merges a split brain). Low cadence on
-  /// purpose: the steady-state cost is one tiny probe per interval per
-  /// node that has evicted anyone, and zero otherwise. 0 disables.
-  sim::SimTime reconcile_interval = 2 * sim::kSecond;
-  /// Re-send attempts for Get/GetBatch/MultiGet after an attempt timeout.
-  /// Attempt deadlines back off geometrically and sum to `get_timeout`,
-  /// so the caller-visible total deadline is unchanged; 0 restores the
-  /// single-attempt behavior bit-for-bit.
-  uint32_t get_retries = 2;
+};
+
+/// Caller knobs for one DhtNode::MultiGet call.
+struct MultiGetOptions {
+  /// Steer the scatter AWAY from each key's primary owner: the key's
+  /// predecessor hands the request to the owner's successor (which holds
+  /// the keys in its replica set) instead of the owner itself, and the
+  /// origin skips its owner cache so the request travels the ring. This
+  /// is the hedged-fetch backup path — a second opinion that avoids the
+  /// (presumed slow) primary. Falls back to normal owner delivery when
+  /// no live successor qualifies.
+  bool prefer_replica = false;
 };
 
 /// One DHT node. Create via DhtBuilder (static deployments) or construct
@@ -333,23 +309,8 @@ class DhtNode : public sim::Host {
   /// so a K-owner key set costs exactly K routed get messages instead of
   /// one per key. Duplicate keys are collapsed before routing.
   void MultiGet(const std::string& ns, std::vector<Key> keys,
-                MultiGetCallback callback);
-
-  /// Caller knobs for one MultiGet call.
-  struct MultiGetOptions {
-    /// Steer the scatter AWAY from each key's primary owner: the key's
-    /// predecessor hands the request to the owner's successor (which holds
-    /// the keys in its replica set) instead of the owner itself, and the
-    /// origin skips its owner cache so the request travels the ring. This
-    /// is the hedged-fetch backup path — a second opinion that avoids the
-    /// (presumed slow) primary. Falls back to normal owner delivery when
-    /// no live successor qualifies.
-    bool prefer_replica = false;
-  };
-
-  /// MultiGet with explicit options (the 3-argument form uses defaults).
-  void MultiGet(const std::string& ns, std::vector<Key> keys,
-                MultiGetCallback callback, const MultiGetOptions& options);
+                MultiGetCallback callback,
+                const MultiGetOptions& options = MultiGetOptions{});
 
   /// Resolves the current owner of `target`.
   void Lookup(Key target, LookupCallback callback);
@@ -592,7 +553,12 @@ class DhtNode : public sim::Host {
   void DoFixFinger();
   void OnStabilizeTimeout(uint64_t seq, sim::HostId suspect);
   /// One proactive-liveness round: evict peers past the miss threshold,
-  /// ping the ring neighborhood, rotate one finger probe.
+  /// ping the ring neighborhood, rotate one finger probe. Runs wherever
+  /// maintenance timers run, decoupled from the stabilize cadence so
+  /// suspicion latency is bounded by the ping interval, not by whoever
+  /// stabilize happens to probe. Matters most under partitions, where
+  /// refused-send detection never triggers (the peer is reachable in
+  /// neither direction, so nothing is ever sent to it to be refused).
   void DoFailureDetector();
   /// One anti-entropy round: if the membership-dirty flag is set, digest
   /// the owned arc and push digests to the replica set.
@@ -626,10 +592,6 @@ class DhtNode : public sim::Host {
   void OnMembershipChange(bool ownership_changed, bool replica_set_changed);
   void BumpEpoch();
 
-  /// Deadline of retry attempt `attempt` (0-based): geometric backoff whose
-  /// attempts sum to ~get_timeout, so the caller-visible total deadline is
-  /// preserved regardless of the retry count.
-  sim::SimTime AttemptTimeout(uint32_t attempt) const;
   void OnGetAttemptTimeout(uint64_t req_id);
   void OnBatchGetAttemptTimeout(uint64_t req_id);
   void OnMultiGetAttemptTimeout(uint64_t req_id);

@@ -28,11 +28,47 @@ class ClassicGreedyPolicy : public NextHopPolicy {
   }
 };
 
+// Congestion-penalty tuning. All penalties are expressed in "expected
+// extra hops", the same currency as the remaining-distance proxy, so a
+// detour is taken exactly when the queueing it avoids is worth more than
+// the ring progress it gives up.
+
+/// In-flight messages a destination may queue before it counts as backed
+/// up (plain request/reply pipelining is not congestion). Each queued
+/// message past the slack costs one expected hop.
+constexpr uint32_t kInflightMessageSlack = 2;
+constexpr double kHopsPerInflightMessage = 1.0;
+/// In-flight bytes tolerated before the byte penalty starts; each this-many
+/// queued bytes past the slack cost one expected hop.
+constexpr size_t kInflightByteSlack = 32 * 1024;
+constexpr size_t kInflightBytesPerHop = 16 * 1024;
+/// Smoothed delivery latency tolerated before the latency penalty starts
+/// (the network's ordinary base latency is not congestion); each this much
+/// smoothed latency past the slack (the decayed EWMA — catches slow hosts
+/// whose queue happens to be empty right now) costs one expected hop.
+constexpr sim::SimTime kLatencySlack = 50 * sim::kMillisecond;
+constexpr sim::SimTime kLatencyPerHop = 100 * sim::kMillisecond;
+
+double CongestionPenaltyHops(const sim::DestinationLoad& load) {
+  double hops = 0;
+  if (load.in_flight_messages > kInflightMessageSlack) {
+    hops += kHopsPerInflightMessage *
+            static_cast<double>(load.in_flight_messages -
+                                kInflightMessageSlack);
+  }
+  if (load.in_flight_bytes > kInflightByteSlack) {
+    hops += static_cast<double>(load.in_flight_bytes - kInflightByteSlack) /
+            static_cast<double>(kInflightBytesPerHop);
+  }
+  if (load.smoothed_latency > kLatencySlack) {
+    hops += static_cast<double>(load.smoothed_latency - kLatencySlack) /
+            static_cast<double>(kLatencyPerHop);
+  }
+  return hops;
+}
+
 class CongestionAwarePolicy : public NextHopPolicy {
  public:
-  explicit CongestionAwarePolicy(const CongestionPolicyOptions& opts)
-      : opts_(opts) {}
-
   NextHopChoice Choose(const RoutingTable& table, Key target,
                        const LoadProbe& probe) const override {
     NodeInfo classic = table.NextHop(target);
@@ -88,29 +124,6 @@ class CongestionAwarePolicy : public NextHopPolicy {
   }
 
  private:
-  double CongestionPenaltyHops(const sim::DestinationLoad& load) const {
-    double hops = 0;
-    if (load.in_flight_messages > opts_.inflight_message_slack) {
-      hops += opts_.hops_per_inflight_message *
-              static_cast<double>(load.in_flight_messages -
-                                  opts_.inflight_message_slack);
-    }
-    if (load.in_flight_bytes > opts_.inflight_byte_slack &&
-        opts_.inflight_bytes_per_hop > 0) {
-      hops += static_cast<double>(load.in_flight_bytes -
-                                  opts_.inflight_byte_slack) /
-              static_cast<double>(opts_.inflight_bytes_per_hop);
-    }
-    if (opts_.latency_per_hop > 0 &&
-        load.smoothed_latency > opts_.latency_slack) {
-      hops += static_cast<double>(load.smoothed_latency -
-                                  opts_.latency_slack) /
-              static_cast<double>(opts_.latency_per_hop);
-    }
-    return hops;
-  }
-
-  CongestionPolicyOptions opts_;
   /// Scratch candidate buffer — Choose is on the per-message fast path and
   /// must not allocate once warmed. Policies are per-node, single-threaded.
   mutable std::vector<NodeInfo> candidates_;
@@ -126,13 +139,12 @@ RoutingPolicyKind DefaultRoutingPolicyKind() {
   return RoutingPolicyKind::kCongestionAware;
 }
 
-std::unique_ptr<NextHopPolicy> MakeNextHopPolicy(
-    RoutingPolicyKind kind, const CongestionPolicyOptions& opts) {
+std::unique_ptr<NextHopPolicy> MakeNextHopPolicy(RoutingPolicyKind kind) {
   switch (kind) {
     case RoutingPolicyKind::kClassicChord:
       return std::make_unique<ClassicGreedyPolicy>();
     case RoutingPolicyKind::kCongestionAware:
-      return std::make_unique<CongestionAwarePolicy>(opts);
+      return std::make_unique<CongestionAwarePolicy>();
   }
   return nullptr;
 }

@@ -95,10 +95,8 @@ void HybridUltrapeer::Query(const std::string& text, HitCallback on_hit,
         state->fell_back = true;
         ++stats_.dht_reissued;
         up_->EndQuery(guid);
-        piersearch::SearchOptions search = config_.search;
-        if (config_.plan_rewrite) search.plan_rewrite = config_.plan_rewrite;
         engine_.Search(
-            text, search,
+            text, config_.search,
             [this, state, on_hit, done, simulator](
                 Status s, std::vector<piersearch::SearchHit> hits,
                 const pier::Completeness& completeness) {

@@ -12,6 +12,23 @@ namespace pierstack::pier {
 
 namespace {
 
+/// Byte ceiling of one rehash-queue PutBatch, beside max_batch_tuples.
+constexpr size_t kMaxBatchBytes = 48 * 1024;
+/// Adaptive credit reference: every halving of the consumer's observed
+/// latency below it doubles the initial credit window.
+constexpr sim::SimTime kCreditLatencyRef = 40 * sim::kMillisecond;
+/// A FetchMany leg is hedged when its probed next-hop latency exceeds this.
+constexpr sim::SimTime kHedgeLatencyThreshold = 60 * sim::kMillisecond;
+/// Backup delay = max(kHedgeMinDelay, kHedgeDelayFactor × observed
+/// latency), capped at kHedgeMaxDelay — a quantile-style wait so hedges
+/// fire only when the primary is genuinely late, not on every probe blip.
+/// The cap matters once a leg has already degraded: without it the
+/// inflated EWMA pushes the backup past the primary's own retry schedule
+/// and the hedge can never win again.
+constexpr sim::SimTime kHedgeMinDelay = 50 * sim::kMillisecond;
+constexpr sim::SimTime kHedgeDelayFactor = 3;
+constexpr sim::SimTime kHedgeMaxDelay = 500 * sim::kMillisecond;
+
 dht::Key DhtKeyFor(const std::string& ns, const Value& key) {
   return HashCombine(Fnv1a64(ns), key.Hash());
 }
@@ -257,10 +274,9 @@ void PierNode::EnqueueRehash(const std::string& ns, dht::Key key,
   q.frames.PutVarint(wire_size);
   tuple.SerializeTo(&q.frames);
   ++q.count;
-  if (q.count >= q.flush_threshold ||
-      q.frames.size() >= batch_options_.max_batch_bytes) {
+  if (q.count >= q.flush_threshold || q.frames.size() >= kMaxBatchBytes) {
     if (q.count < batch_options_.max_batch_tuples &&
-        q.frames.size() < batch_options_.max_batch_bytes) {
+        q.frames.size() < kMaxBatchBytes) {
       ++metrics_->adaptive_flushes;  // the load probe fired, not a ceiling
     }
     FlushAndErase(it);
@@ -500,11 +516,9 @@ void PierNode::FetchManyInternal(const std::string& ns, size_t index_field,
       worst =
           std::max(worst, dht_->NextHopLoad(dht_keys[i]).smoothed_latency);
     }
-    if (worst > batch_options_.hedge_latency_threshold) {
-      sim::SimTime delay =
-          std::min(std::max(batch_options_.hedge_min_delay,
-                            batch_options_.hedge_delay_factor * worst),
-                   batch_options_.hedge_max_delay);
+    if (worst > kHedgeLatencyThreshold) {
+      sim::SimTime delay = std::min(
+          std::max(kHedgeMinDelay, kHedgeDelayFactor * worst), kHedgeMaxDelay);
       race->hedge_timer = exec->ScheduleAfter(
           dht_->host(), delay,
           [this, race, finish, ns, hedge_keys = dht_keys]() {
@@ -513,7 +527,7 @@ void PierNode::FetchManyInternal(const std::string& ns, size_t index_field,
             race->hedge_sent = true;
             ++race->outstanding;
             ++metrics_->hedges_sent;
-            dht::DhtNode::MultiGetOptions opts;
+            dht::MultiGetOptions opts;
             opts.prefer_replica = true;
             dht_->MultiGet(
                 ns, hedge_keys,
@@ -567,7 +581,7 @@ void PierNode::ExecuteStaged(std::shared_ptr<const StagedQuery> query,
   pending.query = std::move(query);
   pending.deadline = exec->now() + timeout;
   pending.failovers_left = batch_options_.stage_failover_budget;
-  pending.defers_left = batch_options_.admission_defer_budget;
+  pending.defers_left = kAdmissionDeferBudget;
   // Progress checks slice the deadline geometrically (the AttemptTimeout
   // pattern): with budget B the first check fires after timeout/(2^(B+1)-1)
   // and each re-dispatch doubles the next wait, so every failover still
@@ -692,7 +706,6 @@ void PierNode::ResolveJoin(uint64_t qid, Status s) {
 }
 
 bool PierNode::AdmitStage0(const JoinStageMsg& m) {
-  if (!batch_options_.admission_control) return true;
   sim::DestinationLoad load = dht_->network()->LoadOf(dht_->host());
   if (load.in_flight_messages <= batch_options_.admission_inflight_floor) {
     return true;  // an idle node admits everything, whatever the list size
@@ -878,7 +891,7 @@ size_t PierNode::CreditWindowChunks(dht::Key target) {
   if (load.smoothed_latency == 0) return base;
   size_t window = base;
   sim::SimTime lat = load.smoothed_latency;
-  while (lat * 2 <= batch_options_.credit_latency_ref &&
+  while (lat * 2 <= kCreditLatencyRef &&
          window < batch_options_.max_stage_credit_chunks) {
     lat *= 2;
     window = std::min(window * 2, batch_options_.max_stage_credit_chunks);

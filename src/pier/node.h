@@ -110,7 +110,7 @@ struct PierMetrics {
 /// the probe reads the actual destination) and flushes at
 /// `min_batch_tuples` when the path is idle — latency —
 /// doubling its patience with every in-flight message until the fixed
-/// `max_batch_tuples` / `max_batch_bytes` ceilings — throughput under load.
+/// `max_batch_tuples` / 48 KiB ceilings — throughput under load.
 /// The old constants are thus the ceiling of the adaptive range and the
 /// exact policy when `adaptive_flush` is off.
 ///
@@ -126,13 +126,12 @@ struct PierMetrics {
 /// from the consumer's observed service rate instead of the constant: the
 /// producer probes the smoothed delivery latency toward the stage's next
 /// hop (sim::DestinationLoad's EWMA) and doubles the window for every
-/// halving of observed latency below `credit_latency_ref`, up to
+/// halving of observed latency below a 40 ms reference, up to
 /// `max_stage_credit_chunks` — fast owners earn deeper pipelines
 /// automatically. The constant stays the floor (slow or unmeasured paths
 /// never drop below it) and `max_stage_credit_chunks` the ceiling.
 struct BatchOptions {
   size_t max_batch_tuples = 256;
-  size_t max_batch_bytes = 48 * 1024;
   sim::SimTime flush_interval = 50 * sim::kMillisecond;
   size_t max_stage_entries = 1024;
   bool adaptive_flush = true;
@@ -140,7 +139,6 @@ struct BatchOptions {
   size_t stage_credit_chunks = 4;
   bool adaptive_credit = true;
   size_t max_stage_credit_chunks = 32;
-  sim::SimTime credit_latency_ref = 40 * sim::kMillisecond;
   /// A credit-starved stream is dropped after this long without a grant
   /// (downstream owner presumed dead); the join's own timeout then returns
   /// partial results, exactly as for any lost chunk.
@@ -156,26 +154,17 @@ struct BatchOptions {
   /// legacy sit-out-the-deadline behavior).
   size_t stage_failover_budget = 2;
   /// Hedge FetchMany legs whose probed next-hop smoothed latency exceeds
-  /// the threshold: a backup replica-preferring scatter races the primary
-  /// after a delay; the first complete answer wins and the duplicate is
-  /// suppressed by the shared fetch state.
+  /// 60 ms: a backup replica-preferring scatter races the primary after a
+  /// delay; the first complete answer wins and the duplicate is suppressed
+  /// by the shared fetch state.
   bool hedged_fetches = true;
-  sim::SimTime hedge_latency_threshold = 60 * sim::kMillisecond;
-  /// Backup delay = max(hedge_min_delay, hedge_delay_factor × observed
-  /// latency), capped at hedge_max_delay — a quantile-style wait so hedges
-  /// fire only when the primary is genuinely late, not on every probe
-  /// blip. The cap matters once a leg has already degraded: without it the
-  /// inflated EWMA pushes the backup past the primary's own retry schedule
-  /// and the hedge can never win again.
-  sim::SimTime hedge_min_delay = 50 * sim::kMillisecond;
-  unsigned hedge_delay_factor = 3;
-  sim::SimTime hedge_max_delay = 500 * sim::kMillisecond;
-  /// Stage-0 admission control at the stage owner: refuse plans whose
-  /// posting list (the entry volume the plan would scan and ship) exceeds
-  /// a pressure-scaled budget. Refusals carry a retry-after hint; the
-  /// origin defers and retries within its deadline or resolves the query
-  /// as an explicit labeled shed.
-  bool admission_control = true;
+
+  // Stage-0 admission control: the stage owner refuses plans whose posting
+  // list (the entry volume the plan would scan and ship) exceeds a
+  // pressure-scaled budget. Refusals carry a retry-after hint; the origin
+  // defers and retries within its deadline (up to kAdmissionDeferBudget
+  // times) or resolves the query as an explicit labeled shed.
+
   /// In-flight messages at the owner below which every plan is admitted
   /// (an idle node never sheds).
   uint32_t admission_inflight_floor = 4;
@@ -185,9 +174,11 @@ struct BatchOptions {
   size_t admission_min_entries = 64;
   /// Base back-off hint attached to refusals (scaled by pressure level).
   sim::SimTime admission_retry_after = 200 * sim::kMillisecond;
-  /// Deferrals one query absorbs before a refusal becomes a shed.
-  size_t admission_defer_budget = 2;
 };
+
+/// Admission-control deferrals one query absorbs before a refusal becomes
+/// a shed.
+constexpr size_t kAdmissionDeferBudget = 2;
 
 /// A join-chain result entry: the join key plus the stage-0 payload.
 struct JoinResultEntry {

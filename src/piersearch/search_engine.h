@@ -50,7 +50,7 @@ struct SearchOptions {
   sim::SimTime timeout = 30 * sim::kSecond;
   /// Applied to the compiled plan right before execution (after any
   /// posting-size rewrite) — the hook deployments use to reshape queries
-  /// without a new strategy enum (e.g. HybridConfig::plan_rewrite grafts
+  /// without a new strategy enum (e.g. a hybrid deployment grafts
   /// TopK or tighter limits onto reissued queries).
   std::function<void(pier::QueryPlan*)> plan_rewrite;
 };

@@ -64,7 +64,7 @@ struct ChurnEvent {
     kJoin,
     /// Re-animate a previously crashed node under its ORIGINAL identity
     /// (same HostId, same ring key) — the reboot the crash/join pair
-    /// cannot model. The driver decides durable vs amnesia recovery.
+    /// cannot model. The ChurnDriver restarts it durable.
     kRestart,
   };
   SimTime time = 0;

@@ -35,27 +35,18 @@ DhtOptions DetectorOptions() {
   DhtOptions opts;
   opts.overlay = OverlayKind::kChord;
   opts.maintenance = true;
-  opts.failure_detector = true;
   opts.ping_interval = 200 * sim::kMillisecond;
-  opts.ping_miss_threshold = 2;
   // Slow stabilize so the detector, not the stabilize probe, is what
   // notices failures in these tests.
   opts.stabilize_interval = 5 * sim::kSecond;
   return opts;
 }
 
-TEST(FailureDetectorTest, PingsRunOnlyWhenEnabled) {
-  DhtOptions on = DetectorOptions();
-  Deployment d(8, on);
+TEST(FailureDetectorTest, HealthyRingPingsWithoutEvictions) {
+  Deployment d(8, DetectorOptions());
   d.Settle(2 * sim::kSecond);
   EXPECT_GT(d.dht->metrics().detector_pings, 0u);
-  EXPECT_EQ(d.dht->metrics().detector_evictions, 0u);  // healthy ring
-
-  DhtOptions off = DetectorOptions();
-  off.failure_detector = false;
-  Deployment quiet(8, off);
-  quiet.Settle(2 * sim::kSecond);
-  EXPECT_EQ(quiet.dht->metrics().detector_pings, 0u);
+  EXPECT_EQ(d.dht->metrics().detector_evictions, 0u);
 }
 
 TEST(FailureDetectorTest, PartitionedPeerIsEvictedWithinBoundedRounds) {
@@ -70,9 +61,9 @@ TEST(FailureDetectorTest, PartitionedPeerIsEvictedWithinBoundedRounds) {
   plan.AssignPartition(isolated->host(), 1);
 
   uint64_t evictions_before = d.dht->metrics().detector_evictions;
-  // Bound: suspicion needs ping_miss_threshold unanswered rounds plus the
-  // round that acts on the threshold, each one ping_interval apart. Give
-  // that twice over for scheduling stagger.
+  // Bound: suspicion needs the miss threshold's two unanswered rounds plus
+  // the round that acts on it, each one ping_interval apart. Give that
+  // twice over for scheduling stagger.
   d.Settle(2 * (3 + 1) * 200 * sim::kMillisecond);
   EXPECT_GT(d.dht->metrics().detector_evictions, evictions_before);
   EXPECT_GT(plan.counters().partition_drops, 0u);

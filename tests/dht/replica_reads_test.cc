@@ -28,10 +28,9 @@ struct Cluster {
   }
 };
 
-DhtOptions Replicated(size_t replication, bool replica_reads) {
+DhtOptions Replicated(size_t replication) {
   DhtOptions o;
   o.replication = replication;
-  o.replica_aware_reads = replica_reads;
   return o;
 }
 
@@ -63,8 +62,10 @@ size_t GetAll(Cluster* c, size_t keys) {
 
 TEST(ReplicaReadsTest, ReadsPeelAtPathReplicasWithIdenticalAnswers) {
   const size_t kKeys = 60;
-  Cluster aware(32, Replicated(3, true));
-  Cluster baseline(32, Replicated(3, false));
+  Cluster aware(32, Replicated(3));
+  // Same ring (same seeds), one copy per key: no hop holds a replica, so
+  // every read walks to the owner.
+  Cluster baseline(32, Replicated(1));
   for (Cluster* c : {&aware, &baseline}) PutAll(c, kKeys);
 
   EXPECT_EQ(GetAll(&aware, kKeys), kKeys);
@@ -82,7 +83,7 @@ TEST(ReplicaReadsTest, ReadsPeelAtPathReplicasWithIdenticalAnswers) {
 
 TEST(ReplicaReadsTest, GetBatchPeelsToo) {
   const size_t kKeys = 60;
-  Cluster c(32, Replicated(3, true));
+  Cluster c(32, Replicated(3));
   PutAll(&c, kKeys);
   size_t answered = 0;
   for (uint64_t k = 0; k < kKeys; ++k) {
@@ -99,7 +100,7 @@ TEST(ReplicaReadsTest, GetBatchPeelsToo) {
 TEST(ReplicaReadsTest, EmptyReplicaNeverShortCircuits) {
   // Reads for keys that were never stored must still resolve at the owner
   // as authoritative empties, not peel into wrong-but-fast answers.
-  Cluster c(32, Replicated(3, true));
+  Cluster c(32, Replicated(3));
   PutAll(&c, 10);
   size_t empties = 0;
   for (uint64_t k = 100; k < 130; ++k) {
@@ -113,7 +114,7 @@ TEST(ReplicaReadsTest, EmptyReplicaNeverShortCircuits) {
 }
 
 TEST(ReplicaReadsTest, ReplicationOneIsUnaffected) {
-  Cluster c(24, Replicated(1, true));
+  Cluster c(24, Replicated(1));
   PutAll(&c, 40);
   EXPECT_EQ(GetAll(&c, 40), 40u);
   EXPECT_EQ(c.dht->metrics().replica_peels, 0u);

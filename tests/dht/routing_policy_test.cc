@@ -166,9 +166,6 @@ TEST(ChurnRoutingTest, CacheInvalidatesOnCrashAndFallsBackToRing) {
   // This test IS about the cache: pin the policy regardless of the env
   // default (the classic CI leg turns the cache off deployment-wide).
   opts.routing_policy = RoutingPolicyKind::kCongestionAware;
-  // Replica peels answer without teaching; force owner-authoritative
-  // answers so the warming get deterministically caches the owner.
-  opts.replica_aware_reads = false;
   Deployment d(24, opts);
   Key k = KeyForString("churn-key");
   d.dht->node(0)->Put("inv", k, Bytes("v"));
@@ -185,8 +182,11 @@ TEST(ChurnRoutingTest, CacheInvalidatesOnCrashAndFallsBackToRing) {
     }
   }
   ASSERT_NE(reader, nullptr);
+  // An acked Put of the same value (stores dedupe it) always reaches the
+  // owner — puts never peel at replicas — and its ack carries the owner
+  // hint, so it deterministically caches the owner.
   bool ok = false;
-  reader->Get("inv", k, [&](Status s, auto v) { ok = s.ok() && !v.empty(); });
+  reader->Put("inv", k, Bytes("v"), 0, [&](Status s) { ok = s.ok(); });
   d.simulator.RunFor(10 * sim::kSecond);
   ASSERT_TRUE(ok);
   ASSERT_TRUE(reader->route_cache().Lookup(k).valid());

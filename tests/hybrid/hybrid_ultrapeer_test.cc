@@ -179,11 +179,12 @@ TEST(HybridUltrapeerTest, StatsCountQueries) {
 
 TEST(HybridUltrapeerTest, PlanRewriteHookShapesReissuedQueries) {
   // The deployment hook: every DHT fallback's compiled plan passes through
-  // HybridConfig::plan_rewrite before execution. Here it caps the reissue
-  // to a single answer; two rare matching files exist, one hit comes back.
+  // HybridConfig::search.plan_rewrite before execution. Here it caps the
+  // reissue to a single answer; two rare matching files exist, one hit
+  // comes back.
   HybridConfig hc;
   size_t rewrites = 0;
-  hc.plan_rewrite = [&rewrites](pier::QueryPlan* plan) {
+  hc.search.plan_rewrite = [&rewrites](pier::QueryPlan* plan) {
     ++rewrites;
     pier::PlanNode limit;
     limit.kind = pier::PlanNode::Kind::kLimit;

@@ -209,12 +209,11 @@ TEST(CreditFlowTest, AdaptiveWindowDeepensPipelineTowardFastOwner) {
 }
 
 TEST(CreditFlowTest, AdaptiveWindowHoldsFloorTowardSlowOwner) {
-  // A consumer whose observed service latency sits above the reference
-  // must NOT earn a deeper window: the constant stays the floor and the
-  // backpressure contract (stalls at the base window) is preserved.
+  // A consumer whose observed service latency sits above the 40 ms credit
+  // reference must NOT earn a deeper window: the constant stays the floor
+  // and the backpressure contract (stalls at the base window) is preserved.
   BatchOptions adaptive = ChunkyOptions(2);
   adaptive.adaptive_credit = true;
-  adaptive.credit_latency_ref = 40 * sim::kMillisecond;
   Cluster c(2, adaptive);
   auto [kw0, kw1] = DistinctOwnerKeywords(&c);
   // Slow the consumer BEFORE any traffic so the warmed EWMA reflects its
