@@ -408,21 +408,25 @@ struct BenchCluster {
   }
 };
 
-/// Seed-style per-tuple publish of one file — one routed Put per tuple —
-/// the baseline both network benches compare the coalesced pipeline
-/// against (Publisher::PublishFile now rides the standing rehash queues,
-/// so it cannot serve as the baseline itself).
+/// Per-tuple publish of one file — each tuple its own one-tuple
+/// PublishBatch, flushed at once, so every tuple costs one routed PutBatch
+/// — the baseline both network benches compare the coalesced pipeline
+/// against (Publisher::PublishFile rides the standing rehash queues, so it
+/// cannot serve as the baseline itself).
 static void PublishPerTuple(pier::PierNode* pier,
                             const piersearch::FileToPublish& f) {
   uint64_t file_id = FileId(f.filename, f.size_bytes, f.address);
-  pier->Publish(piersearch::ItemSchema(),
-                pier::Tuple({pier::Value(file_id), pier::Value(f.filename),
-                             pier::Value(f.size_bytes),
-                             pier::Value(uint64_t{f.address}),
-                             pier::Value(uint64_t{f.port})}));
+  pier->PublishBatch(
+      piersearch::ItemSchema(),
+      {pier::Tuple({pier::Value(file_id), pier::Value(f.filename),
+                    pier::Value(f.size_bytes),
+                    pier::Value(uint64_t{f.address}),
+                    pier::Value(uint64_t{f.port})})});
+  pier->FlushPublishQueues();
   for (const auto& kw : ExtractUniqueKeywords(f.filename)) {
-    pier->Publish(piersearch::InvertedSchema(),
-                  pier::Tuple({pier::Value(kw), pier::Value(file_id)}));
+    pier->PublishBatch(piersearch::InvertedSchema(),
+                       {pier::Tuple({pier::Value(kw), pier::Value(file_id)})});
+    pier->FlushPublishQueues();
   }
 }
 
@@ -490,10 +494,11 @@ static void BM_JoinChain_BatchedPublish(benchmark::State& state) {
 BENCHMARK(BM_JoinChain_BatchedPublish)->Unit(benchmark::kMillisecond);
 
 // Answer-fetch path: resolve a published answer set's Item tuples. The
-// PerResult variant issues one GetBatch round-trip per fileID (the seed
-// path of SearchEngine::FetchItems); OwnerCoalesced groups the ids by
-// resolved owner with one MultiGet scatter (FetchMany), costing one routed
-// get per owner. Identical tuples fetched, a fraction of the messages.
+// PerResult variant issues one one-key FetchMany round-trip per fileID
+// (the seed path of SearchEngine::FetchItems); OwnerCoalesced passes every
+// id to one FetchMany, which groups them by resolved owner into one
+// MultiGet scatter, costing one routed get per owner. Identical tuples
+// fetched, a fraction of the messages.
 static void FetchItemsRun(benchmark::State& state, bool coalesced) {
   const size_t kItems = 192, kNodes = 16;
   uint64_t net_messages = 0, net_bytes = 0, fetched = 0;
@@ -526,11 +531,11 @@ static void FetchItemsRun(benchmark::State& state, bool coalesced) {
                           });
     } else {
       for (uint64_t id : ids) {
-        piers[1]->Fetch(piersearch::ItemSchema(), pier::Value(id),
-                        [&](Status s, std::vector<pier::Tuple> tuples,
-                            const pier::Completeness&) {
-                          if (s.ok()) fetched += tuples.size();
-                        });
+        piers[1]->FetchMany(piersearch::ItemSchema(), {pier::Value(id)},
+                            [&](Status s, std::vector<pier::Tuple> tuples,
+                                const pier::Completeness&) {
+                              if (s.ok()) fetched += tuples.size();
+                            });
       }
     }
     simulator.Run();
@@ -558,7 +563,7 @@ BENCHMARK(BM_FetchItems_OwnerCoalesced)->Unit(benchmark::kMillisecond);
 
 // Publish path under call-at-a-time workloads (the QRS snoop shape: one
 // file per upcall). PerTupleCalls replicates the seed path — every tuple
-// its own routed Put. StandingQueues publishes the same files one call at
+// its own routed PutBatch. StandingQueues publishes the same files one call at
 // a time through the rehash queues, which coalesce ACROSS calls into
 // per-destination PutBatch messages.
 static void PublishPathRun(benchmark::State& state, bool standing) {

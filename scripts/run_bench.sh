@@ -26,7 +26,10 @@
 #         fingerprint diverges from serial (always) or misses its speedup
 #         floor (>= 2x at 4 shards, >= 2.5x at 8 — only on machines with
 #         that many cores), or when BM_ChordNextHop costs more than 3x
-#         BM_BambooNextHop in the same run — the CI bench-regression gate.
+#         BM_BambooNextHop in the same run, or when a one-item-per-call
+#         baseline and its batched variant disagree on their answers
+#         (join_chain results, fetch_coalescing fetched, rehash_queues
+#         stored) — the CI bench-regression gate.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -558,6 +561,20 @@ for n in (1024, 16384):
     elif value > 3.0:
         failed.append("next_hop.chord_vs_bamboo_%d: %.2fx > 3x" % (n, value))
 
+# Per-item baselines against their batched variants: the message
+# reductions above only count if both sides return identical answers.
+for section, key in (("join_chain", "results"),
+                     ("fetch_coalescing", "fetched"),
+                     ("rehash_queues", "stored")):
+    s = bench.get(section, {})
+    per_item = s.get("per_tuple", {}).get(key)
+    batched = s.get("batched", {}).get(key)
+    if per_item is None or batched is None:
+        failed.append("%s.%s: missing (bench did not run?)" % (section, key))
+    elif per_item != batched:
+        failed.append("%s.%s: per-item %s != batched %s" %
+                      (section, key, per_item, batched))
+
 if failed:
     print("bench-regression gate FAILED:")
     for line in failed:
@@ -571,7 +588,7 @@ print("bench-regression gate passed: speedups >= 2x, transport and "
       "restart >= 5x fewer resync bytes), query-robustness "
       "floors held (crash recall, hedge p99, bounded labeled shedding), "
       "shard-scale fingerprints identical, Chord next hop within 3x of "
-      "Bamboo%s" %
+      "Bamboo, per-item baselines answer like their batched variants%s" %
       ("" if num_cpus >= 4 else " (speedup floors skipped: %d cpus)"
        % num_cpus))
 EOF

@@ -37,7 +37,7 @@ constexpr sim::SimTime kResyncInterval = 1 * sim::kSecond;
 /// purpose: the steady-state cost is one tiny probe per interval per
 /// node that has evicted anyone, and zero otherwise.
 constexpr sim::SimTime kReconcileInterval = 2 * sim::kSecond;
-/// Re-send attempts for Get/GetBatch/MultiGet after an attempt timeout.
+/// Re-send attempts for Get/MultiGet after an attempt timeout.
 constexpr uint32_t kGetRetries = 2;
 
 /// Deadline of retry attempt `attempt` (0-based): a geometric schedule T0,
@@ -292,12 +292,11 @@ void DhtNode::CancelPendingRequests() {
   sim::Executor* s = network_->executor();
   for (auto& [id, p] : pending_gets_) s->Cancel(p.timeout);
   pending_gets_.clear();
-  for (auto& [id, p] : pending_batch_gets_) s->Cancel(p.timeout);
-  pending_batch_gets_.clear();
   for (auto& [id, p] : pending_multi_gets_) s->Cancel(p.timeout);
   pending_multi_gets_.clear();
   for (auto& [id, p] : pending_lookups_) s->Cancel(p.timeout);
   pending_lookups_.clear();
+  for (auto& [id, p] : pending_puts_) s->Cancel(p.timeout);
   pending_puts_.clear();
   ping_outstanding_.clear();
 }
@@ -337,8 +336,7 @@ void DhtNode::ForwardOrDeliver(RouteMsg msg) {
   // peel. Gated on actually holding data: an empty store might be
   // replication lag, so the request continues to the owner for the
   // authoritative (possibly empty) answer.
-  if ((msg.app_type == kAppGet || msg.app_type == kAppGetBatch) &&
-      options_.replication > 1 && joined_ &&
+  if (msg.app_type == kAppGet && options_.replication > 1 && joined_ &&
       !routing_->IsOwner(msg.target)) {
     const auto& get = msg.body<GetBody>();
     if (store_.Has(get.ns, get.key, network_->executor()->now())) {
@@ -467,17 +465,11 @@ void DhtNode::DeliverLocally(const RouteMsg& msg) {
     }
   }
   switch (msg.app_type) {
-    case kAppPut:
-      HandlePutUpcall(msg);
-      return;
     case kAppPutBatch:
       HandlePutBatchUpcall(msg);
       return;
     case kAppGet:
       HandleGetUpcall(msg);
-      return;
-    case kAppGetBatch:
-      HandleGetBatchUpcall(msg);
       return;
     case kAppGetMulti:
       HandleGetMultiUpcall(msg);
@@ -566,16 +558,10 @@ sim::DestinationLoad DhtNode::NextHopLoad(Key target) const {
 void DhtNode::Put(const std::string& ns, Key key, std::vector<uint8_t> value,
                   sim::SimTime expiry, PutCallback callback) {
   ++metrics_->puts;
-  uint64_t req_id = 0;
-  bool want_ack = callback != nullptr;
-  if (want_ack) {
-    req_id = NextReqId();
-    pending_puts_[req_id] = std::move(callback);
-  }
-  size_t bytes = ns.size() + value.size() + 18;
-  auto body = std::make_shared<const PutBody>(
-      PutBody{ns, key, std::move(value), expiry, want_ack});
-  Route(key, kAppPut, body, bytes, req_id);
+  BytesWriter frame;
+  frame.PutVarint(value.size());
+  frame.PutBytes(value.data(), value.size());
+  PutBatch(ns, key, frame.Take(), 1, expiry, std::move(callback));
 }
 
 void DhtNode::PutBatch(const std::string& ns, Key key,
@@ -587,7 +573,16 @@ void DhtNode::PutBatch(const std::string& ns, Key key,
   bool want_ack = callback != nullptr;
   if (want_ack) {
     req_id = NextReqId();
-    pending_puts_[req_id] = std::move(callback);
+    PendingPut& pending = pending_puts_[req_id];
+    pending.callback = std::move(callback);
+    pending.timeout = network_->executor()->ScheduleAfter(
+        host(), kGetTimeout, [this, req_id]() {
+          auto it = pending_puts_.find(req_id);
+          if (it == pending_puts_.end()) return;
+          PutCallback cb = std::move(it->second.callback);
+          pending_puts_.erase(it);
+          cb(Status::TimedOut("dht put"));
+        });
   }
   // One route header amortized across the whole batch; the frame buffer
   // already carries each value's length prefix.
@@ -634,43 +629,6 @@ void DhtNode::OnGetAttemptTimeout(uint64_t req_id) {
   GetCallback cb = std::move(p.callback);
   pending_gets_.erase(it);
   cb(Status::TimedOut("dht get"), {});
-}
-
-void DhtNode::GetBatch(const std::string& ns, Key key,
-                       GetBatchCallback callback) {
-  assert(callback != nullptr);
-  ++metrics_->batch_gets;
-  uint64_t req_id = NextReqId();
-  size_t bytes = ns.size() + 10;
-  auto body = std::make_shared<const GetBody>(GetBody{ns, key});
-  PendingBatchGet pending;
-  pending.callback = std::move(callback);
-  pending.body = body;
-  pending.key = key;
-  pending.bytes = bytes;
-  pending.timeout = network_->executor()->ScheduleAfter(host(), 
-      AttemptTimeout(0),
-      [this, req_id]() { OnBatchGetAttemptTimeout(req_id); });
-  pending_batch_gets_[req_id] = std::move(pending);
-  Route(key, kAppGetBatch, body, bytes, req_id);
-}
-
-void DhtNode::OnBatchGetAttemptTimeout(uint64_t req_id) {
-  auto it = pending_batch_gets_.find(req_id);
-  if (it == pending_batch_gets_.end()) return;
-  PendingBatchGet& p = it->second;
-  if (p.attempts < kGetRetries) {
-    ++p.attempts;
-    ++metrics_->get_retries;
-    p.timeout = network_->executor()->ScheduleAfter(host(), 
-        AttemptTimeout(p.attempts),
-        [this, req_id]() { OnBatchGetAttemptTimeout(req_id); });
-    Route(p.key, kAppGetBatch, p.body, p.bytes, req_id);
-    return;
-  }
-  GetBatchCallback cb = std::move(p.callback);
-  pending_batch_gets_.erase(it);
-  cb(Status::TimedOut("dht get batch"), {});
 }
 
 sim::EventId DhtNode::ArmMultiGetTimeout(uint64_t req_id, uint32_t attempt) {
@@ -791,24 +749,6 @@ bool DhtNode::SendDirect(sim::HostId to, sim::Message msg) {
   return network_->Send(host(), to, std::move(msg));
 }
 
-void DhtNode::HandlePutUpcall(const RouteMsg& msg) {
-  const auto& put = msg.body<PutBody>();
-  store_.Put(put.ns, put.key, put.value, put.expiry);
-  if (options_.replication > 1) {
-    ReplicateEntry(put.ns, put.key, put.value, put.expiry);
-  }
-  if (put.want_ack) {
-    OwnerHint hint = OwnerHintFor(msg.target);
-    SendDirect(msg.origin.host,
-               sim::Message::Make<AckBody>(
-                   kPutAck, "dht.reply",
-                   9 + (hint.valid ? kOwnerHintBytes : 0),
-                   AckBody{msg.req_id, hint}));
-  } else {
-    MaybeSendOwnerHint(msg);
-  }
-}
-
 void DhtNode::StoreBatchFrames(const PutBatchBody& put) {
   BytesReader r(put.frames);
   for (uint64_t i = 0; i < put.value_count; ++i) {
@@ -849,18 +789,6 @@ void DhtNode::HandlePutBatchUpcall(const RouteMsg& msg) {
   }
 }
 
-void DhtNode::ReplicateEntry(const std::string& ns, Key key,
-                             const std::vector<uint8_t>& value,
-                             sim::SimTime expiry) {
-  auto targets = routing_->ReplicaTargets(options_.replication - 1);
-  size_t bytes = ns.size() + value.size() + 18;
-  for (const auto& t : targets) {
-    SendDirect(t.host, sim::Message::Make<PutBody>(
-                           kReplicaPut, "dht.replica", bytes,
-                           PutBody{ns, key, value, expiry, false}));
-  }
-}
-
 void DhtNode::HandleGetUpcall(const RouteMsg& msg) {
   const auto& get = msg.body<GetBody>();
   GetReplyBody reply;
@@ -875,21 +803,6 @@ void DhtNode::HandleGetUpcall(const RouteMsg& msg) {
   SendDirect(msg.origin.host,
              sim::Message::Make<GetReplyBody>(kGetReply, "dht.reply", bytes,
                                               std::move(reply)));
-}
-
-void DhtNode::HandleGetBatchUpcall(const RouteMsg& msg) {
-  const auto& get = msg.body<GetBody>();
-  GetBatchReplyBody reply;
-  reply.req_id = msg.req_id;
-  reply.hint = OwnerHintFor(msg.target);
-  reply.batch =
-      store_.GetBatch(get.ns, get.key, network_->executor()->now());
-  size_t bytes =
-      reply.batch->size() + 12 + (reply.hint.valid ? kOwnerHintBytes : 0);
-  SendDirect(msg.origin.host,
-             sim::Message::Make<GetBatchReplyBody>(kGetBatchReply,
-                                                   "dht.reply", bytes,
-                                                   std::move(reply)));
 }
 
 void DhtNode::HandleGetMultiUpcall(const RouteMsg& msg) {
@@ -1462,17 +1375,6 @@ void DhtNode::HandleMessage(sim::HostId from, const sim::Message& msg) {
       cb(Status::OK(), reply.values);
       return;
     }
-    case kGetBatchReply: {
-      const auto& reply = msg.as<GetBatchReplyBody>();
-      LearnOwner(reply.hint);
-      auto it = pending_batch_gets_.find(reply.req_id);
-      if (it == pending_batch_gets_.end()) return;
-      network_->executor()->Cancel(it->second.timeout);
-      GetBatchCallback cb = std::move(it->second.callback);
-      pending_batch_gets_.erase(it);
-      cb(Status::OK(), reply.batch);
-      return;
-    }
     case kMultiGetReply: {
       const auto& reply = msg.as<MultiGetReplyBody>();
       LearnOwner(reply.hint);
@@ -1514,8 +1416,9 @@ void DhtNode::HandleMessage(sim::HostId from, const sim::Message& msg) {
       const auto& ack = msg.as<AckBody>();
       LearnOwner(ack.hint);
       auto it = pending_puts_.find(ack.req_id);
-      if (it == pending_puts_.end()) return;
-      PutCallback cb = std::move(it->second);
+      if (it == pending_puts_.end()) return;  // late ack after the timeout
+      network_->executor()->Cancel(it->second.timeout);
+      PutCallback cb = std::move(it->second.callback);
       pending_puts_.erase(it);
       cb(Status::OK());
       return;
@@ -1645,11 +1548,6 @@ void DhtNode::HandleMessage(sim::HostId from, const sim::Message& msg) {
     }
     case kLivenessAck: {
       ping_outstanding_.erase(from);
-      return;
-    }
-    case kReplicaPut: {
-      const auto& put = msg.as<PutBody>();
-      store_.Put(put.ns, put.key, put.value, put.expiry);
       return;
     }
     case kLeave: {

@@ -59,13 +59,11 @@ struct RouteMsg {
 
 /// Built-in routed application types; user apps start at kAppUserBase.
 enum RoutedApp : int {
-  kAppPut = 1,
   kAppGet = 2,
   kAppJoinLookup = 3,
   kAppFingerLookup = 4,
   kAppLookup = 5,
   kAppPutBatch = 6,
-  kAppGetBatch = 7,
   kAppGetMulti = 8,
   kAppUserBase = 100,
 };
@@ -81,7 +79,6 @@ struct DhtMetrics {
   RelaxedCounter gets;
   RelaxedCounter batch_puts;        ///< PutBatch messages (any value count).
   RelaxedCounter batch_put_values;  ///< Values carried by PutBatch messages.
-  RelaxedCounter batch_gets;
   /// Routed MultiGet messages (initial sends + owner-to-owner forwards):
   /// one per distinct owner visited, the coalesced answer-fetch cost.
   RelaxedCounter multi_gets;
@@ -130,7 +127,7 @@ struct DhtMetrics {
   RelaxedCounter resync_entries;
   /// Payload bytes shipped by re-sync pulls.
   RelaxedCounter resync_bytes;
-  /// Get/GetBatch/MultiGet attempt re-sends after an attempt timeout (the
+  /// Get/MultiGet attempt re-sends after an attempt timeout (the
   /// in-flight-owner-crash recovery path).
   RelaxedCounter get_retries;
   /// Reconciliation probes sent to remembered (evicted) peers by the
@@ -154,8 +151,8 @@ struct DhtMetrics {
   }
 };
 
-/// Caller-visible deadline of one Get/GetBatch/MultiGet (retries included)
-/// or Lookup.
+/// Caller-visible deadline of one Get/MultiGet (retries included), Lookup,
+/// or acked Put/PutBatch.
 constexpr sim::SimTime kGetTimeout = 10 * sim::kSecond;
 
 /// Tunables for a DHT deployment.
@@ -207,11 +204,9 @@ class DhtNode : public sim::Host {
  public:
   using GetCallback =
       std::function<void(Status, std::vector<std::vector<uint8_t>>)>;
-  /// Batched get: the owner's values under (ns, key) as one contiguous
-  /// pier::TupleBatch image (count prefix + concatenated frames), shared
-  /// straight out of the owner's image cache (null on timeout).
-  using GetBatchCallback = std::function<void(Status, BatchImage batch)>;
-  /// One key's answer within a MultiGet reply.
+  /// One key's answer within a MultiGet reply: the owner's values under
+  /// (ns, key) as one contiguous pier::TupleBatch image (count prefix +
+  /// concatenated frames), shared straight out of the owner's image cache.
   struct MultiGetItem {
     Key key = 0;
     BatchImage batch;
@@ -278,7 +273,8 @@ class DhtNode : public sim::Host {
   void Route(Key target, int app_type, std::shared_ptr<const void> body,
              size_t body_bytes, uint64_t req_id = 0);
 
-  /// Stores value under (ns, key) at the key's owner (+ replicas).
+  /// Stores value under (ns, key) at the key's owner (+ replicas): a
+  /// one-value PutBatch.
   void Put(const std::string& ns, Key key, std::vector<uint8_t> value,
            sim::SimTime expiry = 0, PutCallback callback = nullptr);
 
@@ -287,19 +283,16 @@ class DhtNode : public sim::Host {
   /// values back-to-back (varint length + bytes each, i.e. BytesWriter
   /// PutString framing), built by the sender as one buffer. Charges one
   /// route header for the whole batch instead of one per value; the owner
-  /// splits the frames and stores each as its own soft-state entry
-  /// (dedup/refresh semantics identical to Put).
+  /// splits the frames and stores each as its own soft-state entry (a
+  /// duplicate value refreshes its expiry). With a callback the put is
+  /// acked; the callback fires exactly once — OK on the ack, TimedOut
+  /// after kGetTimeout when the put or its ack is lost.
   void PutBatch(const std::string& ns, Key key, std::vector<uint8_t> frames,
                 size_t value_count, sim::SimTime expiry = 0,
                 PutCallback callback = nullptr);
 
   /// Fetches all values under (ns, key) from the key's owner.
   void Get(const std::string& ns, Key key, GetCallback callback);
-
-  /// Batched Get: the reply is one TupleBatch image built by the owner's
-  /// LocalStore::GetBatch — decoded once by the caller instead of one
-  /// deserialize per value.
-  void GetBatch(const std::string& ns, Key key, GetBatchCallback callback);
 
   /// Owner-coalesced multi-key Get: fetches the batch images of many keys
   /// with one routed message per distinct owner. The request routes to the
@@ -380,12 +373,10 @@ class DhtNode : public sim::Host {
     kNotify = 7,
     kFingerReply = 8,
     kKeyTransfer = 9,
-    kReplicaPut = 10,
     kLookupReply = 11,
     kDirectApp = 12,
     kLeave = 13,
     kPredecessorPing = 14,
-    kGetBatchReply = 15,
     kReplicaPutBatch = 16,
     kMultiGetReply = 17,
     /// Standalone owner hint for routed deliveries that send no reply the
@@ -413,13 +404,6 @@ class DhtNode : public sim::Host {
 
  private:
 
-  struct PutBody {
-    std::string ns;
-    Key key;
-    std::vector<uint8_t> value;
-    sim::SimTime expiry;
-    bool want_ack;
-  };
   struct GetBody {
     std::string ns;
     Key key;
@@ -460,11 +444,6 @@ class DhtNode : public sim::Host {
     uint64_t req_id;
     std::vector<std::vector<uint8_t>> values;
     OwnerHint hint;  ///< Teaches the requester the answering owner's arc.
-  };
-  struct GetBatchReplyBody {
-    uint64_t req_id;
-    BatchImage batch;  ///< TupleBatch image, shared with the owner's cache.
-    OwnerHint hint;
   };
   struct MultiGetBody {
     std::string ns;
@@ -513,14 +492,12 @@ class DhtNode : public sim::Host {
   /// RemovePeer plus owner-cache invalidation — every failure-detector
   /// site must drop a dead host from BOTH routing structures.
   void DropPeer(sim::HostId host);
-  void HandlePutUpcall(const RouteMsg& msg);
   void HandlePutBatchUpcall(const RouteMsg& msg);
   /// Splits a PutBatch frame buffer and stores each value. A malformed
   /// buffer stops at the first bad frame (the earlier frames stand — the
   /// same salvage rule as the tuple-batch decoder).
   void StoreBatchFrames(const PutBatchBody& put);
   void HandleGetUpcall(const RouteMsg& msg);
-  void HandleGetBatchUpcall(const RouteMsg& msg);
   void HandleGetMultiUpcall(const RouteMsg& msg);
   /// Replica-aware scatter shortcut: hands the unanswered keys one hop to
   /// the farthest successor that can answer the next key from its replica
@@ -539,8 +516,6 @@ class DhtNode : public sim::Host {
   void HandleJoinLookupUpcall(const RouteMsg& msg);
   void HandleFingerLookupUpcall(const RouteMsg& msg);
   void HandleLookupUpcall(const RouteMsg& msg);
-  void ReplicateEntry(const std::string& ns, Key key,
-                      const std::vector<uint8_t>& value, sim::SimTime expiry);
 
   void StartMaintenanceTimers();
   /// Cancels every maintenance timer plus the in-flight stabilize timeout
@@ -593,7 +568,6 @@ class DhtNode : public sim::Host {
   void BumpEpoch();
 
   void OnGetAttemptTimeout(uint64_t req_id);
-  void OnBatchGetAttemptTimeout(uint64_t req_id);
   void OnMultiGetAttemptTimeout(uint64_t req_id);
 
   /// Route() with an explicit origin — MultiGet forwards keep the original
@@ -635,15 +609,6 @@ class DhtNode : public sim::Host {
     sim::EventId timeout = sim::kInvalidEventId;
   };
   std::map<uint64_t, PendingGet> pending_gets_;
-  struct PendingBatchGet {
-    GetBatchCallback callback;
-    std::shared_ptr<const void> body;
-    Key key = 0;
-    size_t bytes = 0;
-    uint32_t attempts = 0;
-    sim::EventId timeout = sim::kInvalidEventId;
-  };
-  std::map<uint64_t, PendingBatchGet> pending_batch_gets_;
   struct PendingMultiGet {
     MultiGetCallback callback;
     std::string ns;
@@ -656,7 +621,11 @@ class DhtNode : public sim::Host {
     sim::EventId timeout = sim::kInvalidEventId;
   };
   std::map<uint64_t, PendingMultiGet> pending_multi_gets_;
-  std::map<uint64_t, PutCallback> pending_puts_;
+  struct PendingPut {
+    PutCallback callback;
+    sim::EventId timeout = sim::kInvalidEventId;
+  };
+  std::map<uint64_t, PendingPut> pending_puts_;
   struct PendingLookup {
     LookupCallback callback;
     sim::EventId timeout = sim::kInvalidEventId;

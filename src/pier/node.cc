@@ -179,23 +179,6 @@ PierNode::~PierNode() {
   }
 }
 
-void PierNode::Publish(const Schema& schema, Tuple tuple, sim::SimTime expiry,
-                       dht::DhtNode::PutCallback callback) {
-  ++metrics_->tuples_published;
-  ++metrics_->publish_messages;
-  std::vector<uint8_t> bytes = tuple.Serialize();
-  metrics_->publish_bytes += bytes.size();
-  dht::Key key = DhtKeyFor(schema.table_name(), tuple.IndexValue(schema));
-  // Preserve this node's publish ordering across the two paths: a standing
-  // queue still holding tuples for this destination must ship before the
-  // direct Put, or a queued older expiry could later roll back the refresh
-  // this Put applies.
-  auto it = rehash_queues_.find(std::make_pair(schema.table_name(), key));
-  if (it != rehash_queues_.end()) FlushAndErase(it);
-  dht_->Put(schema.table_name(), key, std::move(bytes), expiry,
-            std::move(callback));
-}
-
 void PierNode::FlushQueue(const std::pair<std::string, dht::Key>& dest,
                           RehashQueue* q) {
   if (q->flush_timer != sim::kInvalidEventId) {
@@ -205,8 +188,7 @@ void PierNode::FlushQueue(const std::pair<std::string, dht::Key>& dest,
   if (q->count == 0) return;
   if (!dht_->joined()) {
     // The node crashed or left between enqueue and flush: the batch cannot
-    // ship, and without a put timeout the acks would hang forever — fail
-    // them now instead.
+    // ship, so fail the acks now instead of waiting out the put timeout.
     for (const auto& ack : q->subscribers) {
       ack->Resolve(Status::Unavailable("node departed before flush"));
     }
@@ -348,52 +330,10 @@ std::vector<Tuple> PierNode::ScanLocal(const Schema& schema,
   return out;
 }
 
-void PierNode::Fetch(const Schema& schema, const Value& key,
-                     FetchCallback callback) {
-  ++metrics_->fetches;
-  dht::Key k = DhtKeyFor(schema.table_name(), key);
-  size_t index_field = schema.index_field();
-  // Captures the metrics sink rather than `this`: the deployment-owned
-  // PierMetrics outlives any one node, so a reply landing after this
-  // PierNode is gone stays safe.
-  dht_->GetBatch(
-      schema.table_name(), k,
-      [metrics = metrics_, callback = std::move(callback), key, index_field](
-          Status s, dht::BatchImage image) {
-        if (!s.ok()) {
-          // Labeled non-answer: the key's owner never reported.
-          Completeness c;
-          c.exact = false;
-          c.coverage_fraction = 0.0;
-          ++metrics->partial_results;
-          callback(s, {}, c);
-          return;
-        }
-        size_t dropped = 0;
-        TupleBatch batch = TupleBatch::DeserializeLossy(*image, &dropped);
-        metrics->tuples_dropped_deserialize += dropped;
-        std::vector<Tuple> tuples;
-        tuples.reserve(batch.size());
-        for (Tuple& t : batch.TakeTuples()) {
-          if (t.arity() <= index_field) continue;
-          if (!(t.at(index_field) == key)) continue;
-          tuples.push_back(std::move(t));
-        }
-        callback(Status::OK(), std::move(tuples), Completeness{});
-      });
-}
-
 void PierNode::FetchMany(const Schema& schema, std::vector<Value> keys,
                          FetchCallback callback) {
   FetchManyInternal(schema.table_name(), schema.index_field(),
                     std::move(keys), std::move(callback), /*top_level=*/true);
-}
-
-void PierNode::FetchManyByField(const std::string& ns, size_t index_field,
-                                std::vector<Value> keys,
-                                FetchCallback callback) {
-  FetchManyInternal(ns, index_field, std::move(keys), std::move(callback),
-                    /*top_level=*/true);
 }
 
 namespace {
@@ -421,7 +361,6 @@ void PierNode::FetchManyInternal(const std::string& ns, size_t index_field,
     callback(Status::OK(), {}, Completeness{});
     return;
   }
-  ++metrics_->multi_fetches;
   // Distinct values may collide onto one ring key (64-bit hash); keep every
   // requested value per key so the collision filter admits all of them.
   auto wanted = std::make_shared<
@@ -439,8 +378,8 @@ void PierNode::FetchManyInternal(const std::string& ns, size_t index_field,
   auto race = std::make_shared<HedgedFetch>();
 
   // The resolution path captures the metrics sink and executor rather than
-  // `this` (the deployment-owned objects outlive any one node), matching
-  // the single-key Fetch precedent.
+  // `this`: the deployment-owned objects outlive any one node, so a reply
+  // landing after this PierNode is gone stays safe.
   auto finish = [metrics = metrics_, exec, race, wanted, index_field,
                  requested, top_level, callback = std::move(callback)](
                     Status s,
@@ -572,7 +511,6 @@ void PierNode::ProbePostingSize(const std::string& ns, const Value& key,
 void PierNode::ExecuteStaged(std::shared_ptr<const StagedQuery> query,
                              JoinCallback callback, sim::SimTime timeout) {
   assert(!query->stages.empty());
-  ++metrics_->joins_executed;
   uint64_t qid = NextQid();
   sim::Executor* exec = dht_->network()->executor();
   PendingJoin pending;

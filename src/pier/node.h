@@ -2,7 +2,9 @@
 //
 // Responsibilities (paper Sections 2–3):
 //  * table storage: every tuple is published into the DHT under its
-//    schema's index field (Put) and scanned from the owner's LocalStore,
+//    schema's index field (PublishBatch) and scanned from the owner's
+//    LocalStore or fetched back through owner-coalesced MultiGets
+//    (FetchMany),
 //  * rehash queues: standing per-destination send buffers that coalesce
 //    published tuples ACROSS calls into PutBatch messages, flushed by size
 //    or a simulator-clock interval (real PIER's rehash-queue design),
@@ -42,15 +44,12 @@ struct PierMetrics {
   RelaxedCounter tuples_published;
   RelaxedCounter publish_bytes;           ///< Application bytes (tuples only).
   RelaxedCounter publish_messages;        ///< DHT put messages issued.
-  RelaxedCounter joins_executed;
   RelaxedCounter plans_executed;          ///< ExecutePlan invocations.
   RelaxedCounter join_stage_messages;
   RelaxedCounter posting_entries_shipped; ///< Entries rehashed between stages.
   RelaxedCounter probe_messages;
-  RelaxedCounter fetches;
-  RelaxedCounter multi_fetches;           ///< FetchMany calls (owner-coalesced).
-  /// Stored tuples lost to deserialize failures across ScanLocal / Fetch /
-  /// join stages. Non-zero means stored state was corrupted somewhere —
+  /// Stored tuples lost to deserialize failures across ScanLocal /
+  /// FetchMany / join stages. Non-zero means stored state was corrupted somewhere —
   /// the integration suite asserts this stays 0.
   RelaxedCounter tuples_dropped_deserialize;
   /// Rehash-queue flushes triggered by the load-adaptive threshold (below
@@ -218,20 +217,15 @@ class PierNode {
   dht::DhtNode* dht() { return dht_; }
   sim::HostId host() const { return dht_->host(); }
 
-  /// Publishes a tuple into the DHT under its schema's index field with an
-  /// immediate per-tuple Put (no coalescing — the pre-rehash-queue path,
-  /// kept for comparison benches and latency-critical one-offs).
-  void Publish(const Schema& schema, Tuple tuple, sim::SimTime expiry = 0,
-               dht::DhtNode::PutCallback callback = nullptr);
-
-  /// Publishes tuples through the standing rehash queues: each tuple joins
-  /// its destination's send buffer, which ships as one PutBatch message
-  /// when it fills (BatchOptions size bounds) or when the flush interval
-  /// elapses — so tuples coalesce across PublishBatch calls, not just
-  /// within one (e.g. the QRS snoop path publishing file-by-file). Same
-  /// storage semantics as per-tuple Publish. The callback, when given,
-  /// fires once after every batch carrying this call's tuples is acked
-  /// (first error wins).
+  /// Publishes tuples into the DHT under their schema's index field through
+  /// the standing rehash queues: each tuple joins its destination's send
+  /// buffer, which ships as one PutBatch message when it fills
+  /// (BatchOptions size bounds) or when the flush interval elapses — so
+  /// tuples coalesce across PublishBatch calls, not just within one (e.g.
+  /// the QRS snoop path publishing file-by-file). A caller that cannot
+  /// wait out the interval follows with FlushPublishQueues(). The
+  /// callback, when given, fires once after every batch carrying this
+  /// call's tuples is acked or timed out (first error wins).
   void PublishBatch(const Schema& schema, std::vector<Tuple> tuples,
                     sim::SimTime expiry = 0,
                     dht::DhtNode::PutCallback callback = nullptr);
@@ -250,21 +244,13 @@ class PierNode {
   /// filtering on the key column).
   std::vector<Tuple> ScanLocal(const Schema& schema, const Value& key);
 
-  /// Fetches all tuples of `schema` keyed by `key` from the owner node.
-  void Fetch(const Schema& schema, const Value& key, FetchCallback callback);
-
   /// Owner-coalesced multi-key fetch: all tuples of `schema` keyed by any
   /// of `keys`, grouped by resolved owner so a K-owner key set costs K
   /// routed get messages with one TupleBatch reply per owner (see
-  /// dht::DhtNode::MultiGet) instead of one Fetch round-trip per key.
+  /// dht::DhtNode::MultiGet) instead of one round-trip per key. A single
+  /// key is a one-key FetchMany.
   void FetchMany(const Schema& schema, std::vector<Value> keys,
                  FetchCallback callback);
-
-  /// FetchMany without a Schema object: all tuples of namespace `ns` whose
-  /// column `index_field` equals one of `keys` — what serialized plans
-  /// carry (a FetchJoin node names the table, not a C++ Schema).
-  void FetchManyByField(const std::string& ns, size_t index_field,
-                        std::vector<Value> keys, FetchCallback callback);
 
   /// Asks the owner of (ns, key) for its posting-list size — the optimizer
   /// probe behind the "smaller posting lists first" ordering.
@@ -372,8 +358,10 @@ class PierNode {
   void ExecuteStaged(std::shared_ptr<const StagedQuery> query,
                      JoinCallback callback, sim::SimTime timeout);
 
-  /// FetchManyByField body with the partial-result accounting flag (plan
-  /// fetch legs pass top_level=false; their plan counts the partial once).
+  /// FetchMany over namespace `ns` and key column `index_field` (what a
+  /// serialized plan's FetchJoin names), with the partial-result accounting
+  /// flag (plan fetch legs pass top_level=false; their plan counts the
+  /// partial once).
   void FetchManyInternal(const std::string& ns, size_t index_field,
                          std::vector<Value> keys, FetchCallback callback,
                          bool top_level);

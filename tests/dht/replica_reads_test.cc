@@ -1,5 +1,5 @@
-// Replica-aware single-key reads: with replication > 1, a Get/GetBatch
-// routing through a node that already replicates the key stops there — the
+// Replica-aware single-key reads: with replication > 1, a Get routing
+// through a node that already replicates the key stops there — the
 // single-key analogue of the MultiGet peel — without ever changing the
 // answer, and an empty replica store never short-circuits (replication lag
 // must still resolve at the owner).
@@ -79,22 +79,6 @@ TEST(ReplicaReadsTest, ReadsPeelAtPathReplicasWithIdenticalAnswers) {
   // answers.
   EXPECT_LT(aware.dht->metrics().total_hops,
             baseline.dht->metrics().total_hops);
-}
-
-TEST(ReplicaReadsTest, GetBatchPeelsToo) {
-  const size_t kKeys = 60;
-  Cluster c(32, Replicated(3));
-  PutAll(&c, kKeys);
-  size_t answered = 0;
-  for (uint64_t k = 0; k < kKeys; ++k) {
-    c.dht->node((k * 5 + 1) % c.dht->size())
-        ->GetBatch("t", Mix64(k), [&answered](Status s, BatchImage batch) {
-          if (s.ok() && batch && !batch->empty()) ++answered;
-        });
-  }
-  c.simulator.Run();
-  EXPECT_EQ(answered, kKeys);
-  EXPECT_GT(c.dht->metrics().replica_peels, 0u);
 }
 
 TEST(ReplicaReadsTest, EmptyReplicaNeverShortCircuits) {

@@ -249,10 +249,11 @@ FetchFingerprint RunFetchScenario(Backend backend) {
   }
 
   for (uint64_t id = 1; id <= 40; ++id) {
-    piers[0]->Publish(
+    piers[0]->PublishBatch(
         ItemLikeSchema(),
-        pier::Tuple({pier::Value(id),
-                     pier::Value("item " + std::to_string(id))}));
+        {pier::Tuple({pier::Value(id),
+                      pier::Value("item " + std::to_string(id))})});
+    piers[0]->FlushPublishQueues();
   }
   exec->Run();
 

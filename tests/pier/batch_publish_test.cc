@@ -68,8 +68,10 @@ std::map<std::string, std::set<uint64_t>> VisibleState(Cluster* c) {
 TEST(BatchPublishTest, CoalescingCutsMessagesKeepsResultsIdentical) {
   Cluster per_tuple(16), batched(16);
 
+  // One tuple per call, each flushed at once: one PutBatch per tuple.
   for (Tuple& t : WorkloadTuples()) {
-    per_tuple.piers[0]->Publish(InvSchema(), std::move(t));
+    per_tuple.piers[0]->PublishBatch(InvSchema(), {std::move(t)});
+    per_tuple.piers[0]->FlushPublishQueues();
   }
   per_tuple.simulator.Run();
 

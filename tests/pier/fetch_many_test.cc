@@ -1,6 +1,6 @@
 // Owner-coalesced multi-key fetch: FetchMany must return the same tuples
-// as a per-key Fetch loop while issuing exactly one routed get message per
-// distinct owner.
+// as a loop of one-key FetchMany calls while issuing exactly one routed get
+// message per distinct owner.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -47,9 +47,10 @@ struct Cluster {
     std::vector<uint64_t> ids;
     for (uint64_t id = 1; id <= count; ++id) {
       ids.push_back(id);
-      piers[0]->Publish(ItemLikeSchema(),
-                        Tuple({Value(id),
-                               Value("item " + std::to_string(id))}));
+      piers[0]->PublishBatch(
+          ItemLikeSchema(),
+          {Tuple({Value(id), Value("item " + std::to_string(id))})});
+      piers[0]->FlushPublishQueues();
     }
     simulator.Run();
     return ids;
@@ -119,13 +120,13 @@ TEST(FetchManyTest, HalvesMessagesVersusPerKeyFetch) {
   uint64_t base_a = per_key.network->metrics().total.messages;
   size_t remaining = ids_a.size(), got_a = 0;
   for (uint64_t id : ids_a) {
-    per_key.piers[2]->Fetch(ItemLikeSchema(), Value(id),
-                            [&](Status s, std::vector<Tuple> tuples,
-                                const Completeness&) {
-                              ASSERT_TRUE(s.ok());
-                              got_a += tuples.size();
-                              --remaining;
-                            });
+    per_key.piers[2]->FetchMany(ItemLikeSchema(), {Value(id)},
+                                [&](Status s, std::vector<Tuple> tuples,
+                                    const Completeness&) {
+                                  ASSERT_TRUE(s.ok());
+                                  got_a += tuples.size();
+                                  --remaining;
+                                });
   }
   per_key.simulator.Run();
   ASSERT_EQ(remaining, 0u);

@@ -159,15 +159,17 @@ TEST(RehashQueueTest, AckSpansQueuesAndFiresOnce) {
   EXPECT_EQ(c.StoredUnder("b"), 2u);
 }
 
-TEST(RehashQueueTest, DirectPublishFlushesQueuedDestinationFirst) {
-  // A queued short-expiry publish must ship BEFORE a later direct Publish
-  // of the same tuple — otherwise the stale queued expiry would roll back
-  // the refresh when the queue flushed.
+TEST(RehashQueueTest, RefreshWithNewExpiryShipsQueuedBatchFirst) {
+  // A queued short-expiry tuple re-published with a different expiry must
+  // ship in its own batch ahead of the refresh — one PutBatch carries one
+  // expiry, and the stale queued expiry must not roll back the refresh.
   Cluster c(8);
   Tuple t({Value(std::string("kw")), Value(uint64_t{1})});
   c.piers[0]->PublishBatch(InvSchema(), {t}, /*expiry=*/100 * sim::kMillisecond);
-  c.piers[0]->Publish(InvSchema(), t, /*expiry=*/0);  // refresh: permanent
+  c.piers[0]->PublishBatch(InvSchema(), {t}, /*expiry=*/0);  // refresh
+  EXPECT_EQ(c.metrics.publish_messages, 1u);  // the queued batch shipped
   c.simulator.RunUntil(5 * sim::kSecond);
+  EXPECT_EQ(c.metrics.publish_messages, 2u);
   EXPECT_EQ(c.StoredUnder("kw"), 1u);  // survived well past 100ms
 }
 
