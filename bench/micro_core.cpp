@@ -28,6 +28,7 @@
 #include "dht/builder.h"
 #include "dht/chord.h"
 #include "dht/churn.h"
+#include "dht/local_store.h"
 #include "dht/ring_oracle.h"
 #include "gnutella/index.h"
 #include "pier/node.h"
@@ -1083,6 +1084,68 @@ static void BM_BambooNextHop(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BambooNextHop)->Arg(1024)->Arg(16384);
+
+// ---------------------------------------------------------------------------
+// PIERSearch publish-path CPU: the two per-tuple costs that grew with the
+// data. A popular keyword's owner holds a posting list of thousands of
+// entries, and every re-publish into it must find its duplicate; the
+// congestion-aware next hop runs on almost every hop of a publish burst.
+
+// ns per re-publish of an existing value into a key holding N values (the
+// soft-state refresh of a hot posting list). run_bench.sh gates the
+// 4096/64 ratio: a flat hashed bucket keeps it near linear in N with a
+// small constant, where a node walk with a byte compare per value did not.
+static void BM_LocalStore_Republish(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  // Inverted-tuple-shaped payloads: a shared keyword prefix, then the
+  // file id, so near-duplicates differ only in their last bytes.
+  std::vector<std::vector<uint8_t>> values;
+  for (size_t i = 0; i < n; ++i) {
+    std::string frame = "inverted|keyword=madonna|fileid=";
+    frame += std::to_string(1000000 + i);
+    values.emplace_back(frame.begin(), frame.end());
+  }
+  dht::LocalStore store;
+  const dht::Key key = 42;
+  for (const auto& v : values) store.Put("inverted", key, v, 1000);
+  size_t i = 0;
+  for (auto _ : state) {
+    std::vector<uint8_t> value = values[i];
+    benchmark::DoNotOptimize(
+        store.Put("inverted", key, std::move(value), 2000));
+    if (++i == n) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LocalStore_Republish)->Arg(64)->Arg(4096);
+
+// ns per congestion-aware next-hop decision on a 1,024-node Chord table
+// when every candidate is over its in-flight slack, so no decision takes
+// the unloaded fast path.
+static void BM_CongestionChoose_Loaded(benchmark::State& state) {
+  const size_t n = 1024;
+  Rng rng(6);
+  std::vector<dht::NodeInfo> members;
+  for (size_t i = 0; i < n; ++i) {
+    members.push_back({rng.Next(), static_cast<sim::HostId>(i)});
+  }
+  std::sort(members.begin(), members.end(),
+            [](auto& a, auto& b) { return a.id < b.id; });
+  dht::ChordRouting table(members[n / 2]);
+  table.BuildStatic(members);
+  auto policy =
+      dht::MakeNextHopPolicy(dht::RoutingPolicyKind::kCongestionAware);
+  dht::LoadProbe probe = [](sim::HostId host) {
+    sim::DestinationLoad load;
+    load.in_flight_messages = 4 + host % 4;
+    return load;
+  };
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(policy->Choose(table, rng.Next(), probe));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CongestionChoose_Loaded);
 
 // ---------------------------------------------------------------------------
 // Churn scenarios (paper Section 7's recall-under-flux methodology): a

@@ -122,15 +122,30 @@ void BambooRouting::AppendProgressCandidates(
     Key target, std::vector<NodeInfo>* out) const {
   Key mine = RingDistance(self_.id, target);
   int my_prefix = SharedPrefixDigits(self_.id, target);
-  auto consider = [&](const NodeInfo& cand) {
-    if (!cand.valid() || cand.host == self_.host) return;
-    if (RingDistance(cand.id, target) >= mine) return;
-    if (SharedPrefixDigits(cand.id, target) < my_prefix) return;
-    out->push_back(cand);
+  auto progresses = [&](const NodeInfo& cand) {
+    return cand.valid() && cand.host != self_.host &&
+           RingDistance(cand.id, target) < mine &&
+           SharedPrefixDigits(cand.id, target) >= my_prefix;
   };
-  for (const auto& p : leaves_cw_) consider(p);
-  for (const auto& p : leaves_ccw_) consider(p);
-  for (const auto& e : table_) consider(e);
+  auto in = [](const std::vector<NodeInfo>& peers, sim::HostId host) {
+    return std::any_of(peers.begin(), peers.end(),
+                       [&](const NodeInfo& n) { return n.host == host; });
+  };
+  // On a small ring one peer can be both a clockwise and a counter-
+  // clockwise leaf, and a leaf may also fill a table slot. Each member
+  // fills at most one slot (its row and column are functions of its id),
+  // so table entries only need checking against the leaves.
+  for (const auto& p : leaves_cw_) {
+    if (progresses(p)) out->push_back(p);
+  }
+  for (const auto& p : leaves_ccw_) {
+    if (progresses(p) && !in(leaves_cw_, p.host)) out->push_back(p);
+  }
+  for (const auto& e : table_) {
+    if (progresses(e) && !in(leaves_cw_, e.host) && !in(leaves_ccw_, e.host)) {
+      out->push_back(e);
+    }
+  }
 }
 
 std::vector<NodeInfo> BambooRouting::ReplicaTargets(size_t k) const {

@@ -132,13 +132,17 @@ void ChordRouting::RebuildRoute() {
 
 void ChordRouting::AppendProgressCandidates(Key target,
                                             std::vector<NodeInfo>* out) const {
-  auto consider = [&](const NodeInfo& cand) {
-    if (!cand.valid() || cand.host == self_.host) return;
-    if (!InOpenOpen(self_.id, target, cand.id)) return;
-    out->push_back(cand);
-  };
-  for (const auto& f : fingers_) consider(f);
-  for (const auto& s : successors_) consider(s);
+  // route_ holds the distinct fingers and successors sorted by offset, so
+  // the ones strictly inside (self, target) are its prefix below the
+  // target's offset (offset 0, target == self, stands for the full ring).
+  Key t_off = Offset(target);
+  auto end = route_.end();
+  if (t_off != 0) {
+    end = std::lower_bound(
+        route_.begin(), route_.end(), t_off,
+        [this](const NodeInfo& n, Key off) { return Offset(n.id) < off; });
+  }
+  out->insert(out->end(), route_.begin(), end);
 }
 
 std::vector<NodeInfo> ChordRouting::ReplicaTargets(size_t k) const {

@@ -28,9 +28,10 @@ class ChordRouting : public RoutingTable {
   void BuildStatic(const std::vector<NodeInfo>& sorted_members) override;
   bool IsOwner(Key target) const override;
   NodeInfo NextHop(Key target) const override;
-  /// Fingers and successors strictly inside (self, target): every one of
-  /// them strictly shrinks the clockwise distance to the target, so any
-  /// choice among them terminates.
+  /// Fingers and successors strictly inside (self, target), one per id and
+  /// in clockwise order (a prefix of route_): every one of them strictly
+  /// shrinks the clockwise distance to the target, so any choice among
+  /// them terminates.
   void AppendProgressCandidates(Key target,
                                 std::vector<NodeInfo>* out) const override;
   Key RouteDistance(Key peer_id, Key target) const override {

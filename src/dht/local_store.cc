@@ -10,30 +10,35 @@ namespace pierstack::dht {
 
 namespace {
 
+bool AliveFn(const StoredValue& v, sim::SimTime now) {
+  return v.expiry == 0 || v.expiry > now;
+}
+
 /// Emits a TupleBatch image (count prefix + concatenated frames) from the
-/// live entries a range walk yields.
-template <typename It>
-std::vector<uint8_t> AssembleImage(It lo, It hi, sim::SimTime now,
-                                   bool alive(const StoredValue&,
-                                              sim::SimTime)) {
+/// live values `for_each` visits, in visit order.
+template <typename ForEach>
+std::vector<uint8_t> AssembleImage(const ForEach& for_each, sim::SimTime now) {
   size_t count = 0, bytes = 0;
-  for (It it = lo; it != hi; ++it) {
-    if (!alive(it->second, now)) continue;
+  for_each([&](const StoredValue& v) {
+    if (!AliveFn(v, now)) return;
     ++count;
-    bytes += it->second.value.size();
-  }
+    bytes += v.value.size();
+  });
   BytesWriter w;
   w.Reserve(VarintSize(count) + bytes);
   w.PutVarint(count);
-  for (It it = lo; it != hi; ++it) {
-    if (!alive(it->second, now)) continue;
-    w.PutBytes(it->second.value.data(), it->second.value.size());
-  }
+  for_each([&](const StoredValue& v) {
+    if (AliveFn(v, now)) w.PutBytes(v.value.data(), v.value.size());
+  });
   return w.Take();
 }
 
-bool AliveFn(const StoredValue& v, sim::SimTime now) {
-  return v.expiry == 0 || v.expiry > now;
+/// Avalanched hash of one stored payload. The avalanche step matters: the
+/// digest sums these, and summing raw FNV values of similar payloads would
+/// collide far too easily.
+uint64_t PayloadHash(const std::vector<uint8_t>& value) {
+  return Mix64(Fnv1a64(std::string_view(
+      reinterpret_cast<const char*>(value.data()), value.size())));
 }
 
 /// The canonical empty batch image ({count = 0}), shared by every miss.
@@ -44,6 +49,14 @@ const BatchImage& EmptyImage() {
 }
 
 }  // namespace
+
+const LocalStore::Bucket* LocalStore::FindBucket(const std::string& ns,
+                                                 Key key) const {
+  auto sit = spaces_.find(ns);
+  if (sit == spaces_.end()) return nullptr;
+  auto bit = sit->second.find(key);
+  return bit == sit->second.end() ? nullptr : &bit->second;
+}
 
 void LocalStore::InvalidateImage(const std::string& ns, Key key) {
   auto cit = image_cache_.find(ns);
@@ -89,38 +102,36 @@ void LocalStore::EvictImagesForSpace(NamespaceCache* cache, size_t needed) {
 bool LocalStore::Put(const std::string& ns, Key key,
                      std::vector<uint8_t> value, sim::SimTime expiry) {
   InvalidateImage(ns, key);
-  auto& space = spaces_[ns];
-  auto [lo, hi] = space.equal_range(key);
-  for (auto it = lo; it != hi; ++it) {
-    if (it->second.value == value) {
+  Bucket& bucket = spaces_[ns][key];
+  uint64_t hash = PayloadHash(value);
+  for (StoredValue& v : bucket) {
+    if (v.hash == hash && v.value == value) {
       // Re-publish: refresh soft state.
-      it->second.expiry = expiry;
+      v.expiry = expiry;
       return false;
     }
   }
   total_bytes_ += value.size();
-  space.emplace(key, StoredValue{key, std::move(value), expiry});
+  bucket.push_back(StoredValue{key, std::move(value), expiry, hash});
   return true;
 }
 
 std::vector<const StoredValue*> LocalStore::Get(const std::string& ns, Key key,
                                                 sim::SimTime now) const {
   std::vector<const StoredValue*> out;
-  auto sit = spaces_.find(ns);
-  if (sit == spaces_.end()) return out;
-  auto [lo, hi] = sit->second.equal_range(key);
-  for (auto it = lo; it != hi; ++it) {
-    if (Alive(it->second, now)) out.push_back(&it->second);
+  const Bucket* bucket = FindBucket(ns, key);
+  if (bucket == nullptr) return out;
+  for (const StoredValue& v : *bucket) {
+    if (Alive(v, now)) out.push_back(&v);
   }
   return out;
 }
 
 bool LocalStore::Has(const std::string& ns, Key key, sim::SimTime now) const {
-  auto sit = spaces_.find(ns);
-  if (sit == spaces_.end()) return false;
-  auto [lo, hi] = sit->second.equal_range(key);
-  for (auto it = lo; it != hi; ++it) {
-    if (Alive(it->second, now)) return true;
+  const Bucket* bucket = FindBucket(ns, key);
+  if (bucket == nullptr) return false;
+  for (const StoredValue& v : *bucket) {
+    if (Alive(v, now)) return true;
   }
   return false;
 }
@@ -130,9 +141,10 @@ std::vector<const StoredValue*> LocalStore::Scan(const std::string& ns,
   std::vector<const StoredValue*> out;
   auto sit = spaces_.find(ns);
   if (sit == spaces_.end()) return out;
-  out.reserve(sit->second.size());
-  for (const auto& [k, v] : sit->second) {
-    if (Alive(v, now)) out.push_back(&v);
+  for (const auto& [k, bucket] : sit->second) {
+    for (const StoredValue& v : bucket) {
+      if (Alive(v, now)) out.push_back(&v);
+    }
   }
   return out;
 }
@@ -157,19 +169,22 @@ BatchImage LocalStore::GetBatch(const std::string& ns, Key key,
   }
   ++cache_stats_.misses;
   // Probes of never-stored namespaces must not grow the cache map.
-  auto sit = spaces_.find(ns);
-  if (sit == spaces_.end()) return EmptyImage();
-  auto [lo, hi] = sit->second.equal_range(key);
+  if (spaces_.find(ns) == spaces_.end()) return EmptyImage();
+  static const Bucket kNoValues;
+  const Bucket* found = FindBucket(ns, key);
+  const Bucket& bucket = found != nullptr ? *found : kNoValues;
   sim::SimTime valid_until = 0;
-  for (auto it = lo; it != hi; ++it) {
-    if (!Alive(it->second, now)) continue;
-    if (it->second.expiry != 0 &&
-        (valid_until == 0 || it->second.expiry < valid_until)) {
-      valid_until = it->second.expiry;
+  for (const StoredValue& v : bucket) {
+    if (!Alive(v, now)) continue;
+    if (v.expiry != 0 && (valid_until == 0 || v.expiry < valid_until)) {
+      valid_until = v.expiry;
     }
   }
-  auto image = std::make_shared<const std::vector<uint8_t>>(
-      AssembleImage(lo, hi, now, AliveFn));
+  auto image = std::make_shared<const std::vector<uint8_t>>(AssembleImage(
+      [&](const auto& visit) {
+        for (const StoredValue& v : bucket) visit(v);
+      },
+      now));
   // An image over the whole byte budget is served but never cached — one
   // giant posting list must not monopolize (or thrash) the cache.
   if (image->size() > max_image_bytes_per_ns_) return image;
@@ -189,20 +204,24 @@ std::vector<uint8_t> LocalStore::ScanBatch(const std::string& ns,
                                            sim::SimTime now) const {
   auto sit = spaces_.find(ns);
   if (sit == spaces_.end()) return {0};
-  return AssembleImage(sit->second.begin(), sit->second.end(), now, AliveFn);
+  return AssembleImage(
+      [&](const auto& visit) {
+        for (const auto& [k, bucket] : sit->second) {
+          for (const StoredValue& v : bucket) visit(v);
+        }
+      },
+      now);
 }
 
 size_t LocalStore::Erase(const std::string& ns, Key key) {
   InvalidateImage(ns, key);
   auto sit = spaces_.find(ns);
   if (sit == spaces_.end()) return 0;
-  auto [lo, hi] = sit->second.equal_range(key);
-  size_t n = 0;
-  for (auto it = lo; it != hi;) {
-    total_bytes_ -= it->second.value.size();
-    it = sit->second.erase(it);
-    ++n;
-  }
+  auto bit = sit->second.find(key);
+  if (bit == sit->second.end()) return 0;
+  size_t n = bit->second.size();
+  for (const StoredValue& v : bit->second) total_bytes_ -= v.value.size();
+  sit->second.erase(bit);
   return n;
 }
 
@@ -212,11 +231,13 @@ std::vector<StoredValue> LocalStore::ExtractRange(const std::string& ns,
   std::vector<StoredValue> out;
   auto sit = spaces_.find(ns);
   if (sit == spaces_.end()) return out;
-  auto& space = sit->second;
+  Space& space = sit->second;
   for (auto it = space.begin(); it != space.end();) {
     if (InOpenClosed(from, to, it->first)) {
-      total_bytes_ -= it->second.value.size();
-      out.push_back(std::move(it->second));
+      for (StoredValue& v : it->second) {
+        total_bytes_ -= v.value.size();
+        out.push_back(std::move(v));
+      }
       it = space.erase(it);
     } else {
       ++it;
@@ -230,20 +251,24 @@ std::vector<StoredValue> LocalStore::CollectRange(const std::string& ns,
   std::vector<StoredValue> out;
   auto sit = spaces_.find(ns);
   if (sit == spaces_.end()) return out;
-  for (const auto& [k, v] : sit->second) {
-    if (InOpenClosed(from, to, k)) out.push_back(v);
+  for (const auto& [k, bucket] : sit->second) {
+    if (InOpenClosed(from, to, k)) {
+      out.insert(out.end(), bucket.begin(), bucket.end());
+    }
   }
   return out;
 }
 
 namespace {
 
-/// Avalanched hash of one stored payload. The avalanche step matters: the
-/// digest sums these, and summing raw FNV values of similar payloads would
-/// collide far too easily.
-uint64_t ValueHash(const StoredValue& v) {
-  return Mix64(Fnv1a64(std::string_view(
-      reinterpret_cast<const char*>(v.value.data()), v.value.size())));
+/// Folds the live values of one bucket into a digest.
+void DigestBucket(const std::vector<StoredValue>& bucket, sim::SimTime now,
+                  LocalStore::KeyDigest* d) {
+  for (const StoredValue& v : bucket) {
+    if (!AliveFn(v, now)) continue;
+    d->hash += v.hash;
+    ++d->count;
+  }
 }
 
 }  // namespace
@@ -251,14 +276,8 @@ uint64_t ValueHash(const StoredValue& v) {
 LocalStore::KeyDigest LocalStore::DigestKey(const std::string& ns, Key key,
                                             sim::SimTime now) const {
   KeyDigest d;
-  auto sit = spaces_.find(ns);
-  if (sit == spaces_.end()) return d;
-  auto [lo, hi] = sit->second.equal_range(key);
-  for (auto it = lo; it != hi; ++it) {
-    if (!Alive(it->second, now)) continue;
-    d.hash += ValueHash(it->second);
-    ++d.count;
-  }
+  const Bucket* bucket = FindBucket(ns, key);
+  if (bucket != nullptr) DigestBucket(*bucket, now, &d);
   return d;
 }
 
@@ -269,12 +288,11 @@ std::map<Key, LocalStore::KeyDigest> LocalStore::DigestRange(
   if (sit == spaces_.end()) return out;
   // Full walk, like ExtractRange: the (from, to] arc may wrap the ring, so
   // the membership test does the work rather than iterator bounds.
-  for (const auto& [k, v] : sit->second) {
+  for (const auto& [k, bucket] : sit->second) {
     if (!InOpenClosed(from, to, k)) continue;
-    if (!Alive(v, now)) continue;
-    KeyDigest& d = out[k];
-    d.hash += ValueHash(v);
-    ++d.count;
+    KeyDigest d;
+    DigestBucket(bucket, now, &d);
+    if (d.count != 0) out.emplace_hint(out.end(), k, d);
   }
   return out;
 }
@@ -284,10 +302,11 @@ std::vector<StoredValue> LocalStore::ExtractAll(const std::string& ns) {
   std::vector<StoredValue> out;
   auto sit = spaces_.find(ns);
   if (sit == spaces_.end()) return out;
-  out.reserve(sit->second.size());
-  for (auto& [k, v] : sit->second) {
-    total_bytes_ -= v.value.size();
-    out.push_back(std::move(v));
+  for (auto& [k, bucket] : sit->second) {
+    for (StoredValue& v : bucket) {
+      total_bytes_ -= v.value.size();
+      out.push_back(std::move(v));
+    }
   }
   sit->second.clear();
   return out;
@@ -307,13 +326,16 @@ size_t LocalStore::PurgeExpired(sim::SimTime now) {
   size_t dropped = 0;
   for (auto& [ns, space] : spaces_) {
     for (auto it = space.begin(); it != space.end();) {
-      if (!Alive(it->second, now)) {
-        total_bytes_ -= it->second.value.size();
-        it = space.erase(it);
-        ++dropped;
-      } else {
-        ++it;
-      }
+      Bucket& bucket = it->second;
+      bucket.erase(std::remove_if(bucket.begin(), bucket.end(),
+                                  [&](const StoredValue& v) {
+                                    if (Alive(v, now)) return false;
+                                    total_bytes_ -= v.value.size();
+                                    ++dropped;
+                                    return true;
+                                  }),
+                   bucket.end());
+      it = bucket.empty() ? space.erase(it) : std::next(it);
     }
   }
   return dropped;
@@ -322,8 +344,10 @@ size_t LocalStore::PurgeExpired(sim::SimTime now) {
 size_t LocalStore::TotalEntries(sim::SimTime now) const {
   size_t n = 0;
   for (const auto& [ns, space] : spaces_) {
-    for (const auto& [k, v] : space) {
-      if (Alive(v, now)) ++n;
+    for (const auto& [k, bucket] : space) {
+      for (const StoredValue& v : bucket) {
+        if (Alive(v, now)) ++n;
+      }
     }
   }
   return n;

@@ -1,9 +1,16 @@
-// Per-node DHT storage: a namespaced soft-state multimap.
+// Per-node DHT storage: namespaced soft-state buckets.
 //
 // PIER stores every tuple in the DHT (Section 2 of the paper); this is the
 // node-local slice of that storage. Values are opaque byte strings plus the
 // ring key they were published under; entries may carry an expiry time
 // (soft state) and are purged lazily.
+//
+// Each namespace is an ordered map from ring key to one flat bucket: a
+// vector of that key's values in insertion order. Every value carries the
+// hash of its payload, computed once when it is stored, so a re-publish
+// into a hot posting list compares hashes and touches payload bytes only
+// on a hash match, and digests sum the stored hashes instead of rehashing.
+// Walks visit keys ascending and each bucket in insertion order.
 //
 // Batched reads hand out shared immutable TupleBatch images. Hot posting
 // lists are probed far more often than they change, so the assembled image
@@ -30,6 +37,7 @@ struct StoredValue {
   Key key = 0;                    ///< Ring key it was published under.
   std::vector<uint8_t> value;     ///< Opaque payload (serialized tuple).
   sim::SimTime expiry = 0;        ///< 0 = never expires.
+  uint64_t hash = 0;  ///< Avalanched payload hash; LocalStore sets it.
 };
 
 /// A shared immutable TupleBatch image (count prefix + frames). Handing
@@ -179,8 +187,15 @@ class LocalStore {
   /// bytes fit under the per-namespace cap.
   void EvictImagesForSpace(NamespaceCache* cache, size_t needed);
 
-  // ns -> (key -> values). std::map on key so ExtractRange can walk ranges.
-  std::map<std::string, std::multimap<Key, StoredValue>> spaces_;
+  /// One key's values, in insertion order. Never empty while stored.
+  using Bucket = std::vector<StoredValue>;
+  /// Ring key -> bucket; ordered so range walks visit keys ascending.
+  using Space = std::map<Key, Bucket>;
+
+  /// The bucket under (ns, key), or nullptr.
+  const Bucket* FindBucket(const std::string& ns, Key key) const;
+
+  std::map<std::string, Space> spaces_;
   std::map<std::string, NamespaceCache> image_cache_;
   ImageCacheStats cache_stats_;
   size_t total_bytes_ = 0;

@@ -11,12 +11,7 @@ namespace {
 /// Bit width of a ring distance — the expected-remaining-hops proxy
 /// (halving the distance per hop is what greedy O(log N) routing does).
 int DistanceBits(Key d) {
-  int bits = 0;
-  while (d != 0) {
-    ++bits;
-    d >>= 1;
-  }
-  return bits;
+  return d == 0 ? 0 : 64 - __builtin_clzll(d);
 }
 
 /// The classic policy: delegate to the table's own greedy pick.
@@ -84,8 +79,11 @@ class CongestionAwarePolicy : public NextHopPolicy {
       // guess the overlay's own distance metric.
       return NextHopChoice{classic, false};
     }
-    candidates_.clear();
-    table.AppendProgressCandidates(target, &candidates_);
+    // Scratch candidate buffer: Choose is on the per-message fast path and
+    // must not allocate once warmed. One per thread, like RebuildRoute's.
+    thread_local std::vector<NodeInfo> candidates;
+    candidates.clear();
+    table.AppendProgressCandidates(target, &candidates);
     double classic_score =
         static_cast<double>(
             DistanceBits(table.RouteDistance(classic.id, target))) +
@@ -93,19 +91,14 @@ class CongestionAwarePolicy : public NextHopPolicy {
     NodeInfo best;
     double best_score = 0;
     Key best_dist = 0;
-    for (size_t i = 0; i < candidates_.size(); ++i) {
-      const NodeInfo& cand = candidates_[i];
+    for (const NodeInfo& cand : candidates) {
       if (!cand.valid() || cand.host == classic.host) continue;
-      // Candidates may repeat (fingers, successors and leaves overlap);
-      // probe each host once.
-      bool seen = false;
-      for (size_t j = 0; j < i && !seen; ++j) {
-        seen = candidates_[j].host == cand.host;
-      }
-      if (seen) continue;
       Key dist = table.RouteDistance(cand.id, target);
-      double score = static_cast<double>(DistanceBits(dist)) +
-                     CongestionPenaltyHops(probe(cand.host));
+      double score = static_cast<double>(DistanceBits(dist));
+      // Penalties are >= 0, so a candidate whose distance alone already
+      // scores classic_score can never be picked: skip its load probe.
+      if (score >= classic_score) continue;
+      score += CongestionPenaltyHops(probe(cand.host));
       // Deterministic tie-break: smaller remaining distance, then id.
       if (!best.valid() || score < best_score ||
           (score == best_score &&
@@ -123,10 +116,6 @@ class CongestionAwarePolicy : public NextHopPolicy {
     return NextHopChoice{classic, false};
   }
 
- private:
-  /// Scratch candidate buffer — Choose is on the per-message fast path and
-  /// must not allocate once warmed. Policies are per-node, single-threaded.
-  mutable std::vector<NodeInfo> candidates_;
 };
 
 }  // namespace

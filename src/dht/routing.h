@@ -75,8 +75,8 @@ class RoutingTable {
   /// in this set — a Bamboo prefix hop can extend the shared prefix while
   /// being numerically farther than self — so policies must score the
   /// classic pick separately rather than expect it among the candidates.
-  /// Candidates may repeat (fingers and successors overlap); policies
-  /// dedupe by host.
+  /// Each host is appended at most once, so policies probe every
+  /// candidate without deduping.
   virtual void AppendProgressCandidates(Key target,
                                         std::vector<NodeInfo>* out) const = 0;
 

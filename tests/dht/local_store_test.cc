@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string_view>
+
+#include "common/bytes.h"
+#include "common/hashing.h"
+#include "common/rng.h"
+
 namespace pierstack::dht {
 namespace {
 
@@ -293,6 +300,260 @@ TEST(LocalStoreImageCacheTest, NamespaceDropReleasesImageBytes) {
   store.ExtractAll("inv");  // namespace-wide invalidation
   EXPECT_EQ(store.ImageCacheBytes(), 0u);
   EXPECT_EQ(store.TotalBytes(), 0u);
+}
+
+// --- Randomized check against a multimap reference model ------------------
+
+/// The store's contract restated over one std::multimap per namespace:
+/// values under a key in insertion order, a re-publish of an identical
+/// payload refreshes its expiry in place, expired entries stay until a
+/// purge.
+class ReferenceStore {
+ public:
+  struct Entry {
+    std::vector<uint8_t> value;
+    sim::SimTime expiry = 0;
+  };
+
+  bool Put(const std::string& ns, Key key, const std::vector<uint8_t>& value,
+           sim::SimTime expiry) {
+    auto& space = spaces_[ns];
+    auto [lo, hi] = space.equal_range(key);
+    for (auto it = lo; it != hi; ++it) {
+      if (it->second.value == value) {
+        it->second.expiry = expiry;
+        return false;
+      }
+    }
+    space.emplace(key, Entry{value, expiry});
+    return true;
+  }
+
+  size_t Erase(const std::string& ns, Key key) {
+    auto sit = spaces_.find(ns);
+    return sit == spaces_.end() ? 0 : sit->second.erase(key);
+  }
+
+  /// Entries with ring key in (from, to], in walk order; `remove` takes
+  /// them out.
+  std::vector<std::pair<Key, Entry>> Range(const std::string& ns, Key from,
+                                           Key to, bool remove) {
+    std::vector<std::pair<Key, Entry>> out;
+    auto sit = spaces_.find(ns);
+    if (sit == spaces_.end()) return out;
+    for (auto it = sit->second.begin(); it != sit->second.end();) {
+      if (InOpenClosed(from, to, it->first)) {
+        out.push_back(*it);
+        if (remove) {
+          it = sit->second.erase(it);
+          continue;
+        }
+      }
+      ++it;
+    }
+    return out;
+  }
+
+  size_t PurgeExpired(sim::SimTime now) {
+    size_t n = 0;
+    for (auto& [ns, space] : spaces_) {
+      for (auto it = space.begin(); it != space.end();) {
+        if (Alive(it->second, now)) {
+          ++it;
+        } else {
+          it = space.erase(it);
+          ++n;
+        }
+      }
+    }
+    return n;
+  }
+
+  /// Live values under (ns, key), in order.
+  std::vector<std::vector<uint8_t>> Get(const std::string& ns, Key key,
+                                        sim::SimTime now) const {
+    std::vector<std::vector<uint8_t>> out;
+    auto sit = spaces_.find(ns);
+    if (sit == spaces_.end()) return out;
+    auto [lo, hi] = sit->second.equal_range(key);
+    for (auto it = lo; it != hi; ++it) {
+      if (Alive(it->second, now)) out.push_back(it->second.value);
+    }
+    return out;
+  }
+
+  /// Every live (key, value) of a namespace, in walk order.
+  std::vector<std::pair<Key, std::vector<uint8_t>>> Scan(
+      const std::string& ns, sim::SimTime now) const {
+    std::vector<std::pair<Key, std::vector<uint8_t>>> out;
+    auto sit = spaces_.find(ns);
+    if (sit == spaces_.end()) return out;
+    for (const auto& [k, e] : sit->second) {
+      if (Alive(e, now)) out.emplace_back(k, e.value);
+    }
+    return out;
+  }
+
+  std::map<Key, LocalStore::KeyDigest> DigestRange(const std::string& ns,
+                                                   Key from, Key to,
+                                                   sim::SimTime now) const {
+    std::map<Key, LocalStore::KeyDigest> out;
+    auto sit = spaces_.find(ns);
+    if (sit == spaces_.end()) return out;
+    for (const auto& [k, e] : sit->second) {
+      if (!InOpenClosed(from, to, k) || !Alive(e, now)) continue;
+      out[k].hash += Mix64(Fnv1a64(std::string_view(
+          reinterpret_cast<const char*>(e.value.data()), e.value.size())));
+      ++out[k].count;
+    }
+    return out;
+  }
+
+  size_t PayloadBytes() const {
+    size_t n = 0;
+    for (const auto& [ns, space] : spaces_) {
+      for (const auto& [k, e] : space) n += e.value.size();
+    }
+    return n;
+  }
+
+  std::vector<std::string> Namespaces() const {
+    std::vector<std::string> out;
+    for (const auto& [ns, space] : spaces_) out.push_back(ns);
+    return out;
+  }
+
+  void ClearNamespace(const std::string& ns) {
+    auto sit = spaces_.find(ns);
+    if (sit != spaces_.end()) sit->second.clear();
+  }
+
+ private:
+  static bool Alive(const Entry& e, sim::SimTime now) {
+    return e.expiry == 0 || e.expiry > now;
+  }
+
+  std::map<std::string, std::multimap<Key, Entry>> spaces_;
+};
+
+/// A TupleBatch image of `values`: varint count, then the frames.
+std::vector<uint8_t> ReferenceImage(
+    const std::vector<std::vector<uint8_t>>& values) {
+  BytesWriter w;
+  w.PutVarint(values.size());
+  for (const auto& v : values) w.PutBytes(v.data(), v.size());
+  return w.Take();
+}
+
+using ReferenceEntries = std::vector<std::pair<Key, ReferenceStore::Entry>>;
+
+void ExpectSameEntries(const std::vector<StoredValue>& got,
+                       const ReferenceEntries& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].key, want[i].first) << what << " #" << i;
+    EXPECT_EQ(got[i].value, want[i].second.value) << what << " #" << i;
+    EXPECT_EQ(got[i].expiry, want[i].second.expiry) << what << " #" << i;
+  }
+}
+
+TEST(LocalStoreModelTest, RandomOpsMatchMultimapReference) {
+  // Keys cluster at both ends of the ring so ranges wrap past zero.
+  const std::vector<Key> keys = {1,    2,    7,          1000,
+                                 1001, 5000, UINT64_MAX - 5, UINT64_MAX};
+  const std::vector<std::string> spaces = {"inv", "items"};
+  // Payloads of equal length that differ only in their last byte, so a
+  // hash-only or length-only compare would conflate them.
+  std::vector<std::vector<uint8_t>> payloads;
+  for (int i = 0; i < 12; ++i) {
+    payloads.push_back(Bytes("posting|keyword=abc|file=" +
+                             std::to_string(i % 6) +
+                             std::string(static_cast<size_t>(i / 6), '#')));
+  }
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    LocalStore store;
+    ReferenceStore model;
+    sim::SimTime now = 0;
+    for (int step = 0; step < 3000; ++step) {
+      const std::string& ns = spaces[rng.NextBelow(spaces.size())];
+      Key key = keys[rng.NextBelow(keys.size())];
+      Key from = keys[rng.NextBelow(keys.size())] - rng.NextBelow(2);
+      Key to = keys[rng.NextBelow(keys.size())];
+      std::string at = "seed " + std::to_string(seed) + " step " +
+                       std::to_string(step);
+      uint64_t op = rng.NextBelow(100);
+      if (op < 55) {
+        const auto& value = payloads[rng.NextBelow(payloads.size())];
+        sim::SimTime expiry =
+            rng.NextBelow(3) == 0 ? 0 : now + 1 + rng.NextBelow(50);
+        ASSERT_EQ(store.Put(ns, key, value, expiry),
+                  model.Put(ns, key, value, expiry))
+            << at;
+      } else if (op < 62) {
+        ASSERT_EQ(store.Erase(ns, key), model.Erase(ns, key)) << at;
+      } else if (op < 70) {
+        ExpectSameEntries(store.ExtractRange(ns, from, to),
+                          model.Range(ns, from, to, /*remove=*/true),
+                          at + " ExtractRange");
+      } else if (op < 80) {
+        ExpectSameEntries(store.CollectRange(ns, from, to),
+                          model.Range(ns, from, to, /*remove=*/false),
+                          at + " CollectRange");
+      } else if (op < 88) {
+        ASSERT_EQ(store.PurgeExpired(now), model.PurgeExpired(now)) << at;
+      } else if (op < 90) {
+        ExpectSameEntries(store.ExtractAll(ns),
+                          model.Range(ns, 0, 0, /*remove=*/false),
+                          at + " ExtractAll");
+        model.ClearNamespace(ns);
+      } else {
+        now += 1 + rng.NextBelow(20);
+      }
+
+      // The whole observable state agrees after every operation.
+      ASSERT_EQ(store.TotalBytes() - store.ImageCacheBytes(),
+                model.PayloadBytes())
+          << at;
+      ASSERT_EQ(store.Namespaces(), model.Namespaces()) << at;
+      for (const std::string& s : spaces) {
+        auto want_scan = model.Scan(s, now);
+        auto got_scan = store.Scan(s, now);
+        ASSERT_EQ(got_scan.size(), want_scan.size()) << at;
+        for (size_t i = 0; i < got_scan.size(); ++i) {
+          ASSERT_EQ(got_scan[i]->key, want_scan[i].first) << at;
+          ASSERT_EQ(got_scan[i]->value, want_scan[i].second) << at;
+        }
+        std::vector<std::vector<uint8_t>> all;
+        for (const auto& [k, v] : want_scan) all.push_back(v);
+        ASSERT_EQ(store.ScanBatch(s, now), ReferenceImage(all)) << at;
+        for (Key k : keys) {
+          auto want = model.Get(s, k, now);
+          auto got = store.Get(s, k, now);
+          ASSERT_EQ(got.size(), want.size()) << at << " key " << k;
+          for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i]->value, want[i]) << at << " key " << k;
+          }
+          ASSERT_EQ(store.Has(s, k, now), !want.empty()) << at;
+          ASSERT_EQ(*store.GetBatch(s, k, now), ReferenceImage(want))
+              << at << " key " << k;
+        }
+        ASSERT_EQ(store.DigestRange(s, from, to, now),
+                  model.DigestRange(s, from, to, now))
+            << at;
+        ASSERT_EQ(store.DigestRange(s, 0, 0, now),
+                  model.DigestRange(s, 0, 0, now))
+            << at;
+        auto full = model.DigestRange(s, 0, 0, now);
+        for (Key k : keys) {
+          auto it = full.find(k);
+          ASSERT_EQ(store.DigestKey(s, k, now),
+                    it == full.end() ? LocalStore::KeyDigest{} : it->second)
+              << at << " key " << k;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

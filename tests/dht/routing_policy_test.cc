@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "dht/bamboo.h"
 #include "dht/builder.h"
 #include "dht/chord.h"
 #include "dht/node.h"
@@ -106,6 +109,235 @@ TEST(NextHopPolicyTest, BackedUpClassicHopIsDetouredAround) {
     EXPECT_EQ(fallback.next.host, classic.host);
   }
   EXPECT_TRUE(exercised);
+}
+
+// --- Equivalence with the quadratic reference ------------------------------
+
+/// The congestion penalty the policy scores with (src/dht/routing.cc),
+/// restated so the reference below is independent of the policy's code.
+double ReferencePenaltyHops(const sim::DestinationLoad& load) {
+  double hops = 0;
+  if (load.in_flight_messages > 2) hops += load.in_flight_messages - 2.0;
+  if (load.in_flight_bytes > 32 * 1024) {
+    hops += static_cast<double>(load.in_flight_bytes - 32 * 1024) /
+            (16 * 1024);
+  }
+  if (load.smoothed_latency > 50 * sim::kMillisecond) {
+    hops += static_cast<double>(load.smoothed_latency -
+                                50 * sim::kMillisecond) /
+            static_cast<double>(100 * sim::kMillisecond);
+  }
+  return hops;
+}
+
+int ReferenceDistanceBits(Key d) {
+  int bits = 0;
+  for (; d != 0; d >>= 1) ++bits;
+  return bits;
+}
+
+/// The congestion-aware choice as first written: every raw candidate the
+/// table knows (repeats included), deduped by host with a quadratic scan,
+/// and every distinct host probed. `raw` is the table's full candidate
+/// list before any dedupe.
+NextHopChoice ReferenceChoose(const RoutingTable& table, Key target,
+                              const std::vector<NodeInfo>& raw,
+                              const LoadProbe& probe) {
+  NodeInfo classic = table.NextHop(target);
+  if (classic.host == table.self().host) return {classic, false};
+  double classic_penalty = ReferencePenaltyHops(probe(classic.host));
+  if (classic_penalty <= 0) return {classic, false};
+  double classic_score =
+      ReferenceDistanceBits(table.RouteDistance(classic.id, target)) +
+      classic_penalty;
+  NodeInfo best;
+  double best_score = 0;
+  Key best_dist = 0;
+  for (size_t i = 0; i < raw.size(); ++i) {
+    const NodeInfo& cand = raw[i];
+    if (!cand.valid() || cand.host == classic.host) continue;
+    bool seen = false;
+    for (size_t j = 0; j < i && !seen; ++j) seen = raw[j].host == cand.host;
+    if (seen) continue;
+    Key dist = table.RouteDistance(cand.id, target);
+    double score = ReferenceDistanceBits(dist) +
+                   ReferencePenaltyHops(probe(cand.host));
+    if (!best.valid() || score < best_score ||
+        (score == best_score &&
+         (dist < best_dist || (dist == best_dist && cand.id < best.id)))) {
+      best = cand;
+      best_score = score;
+      best_dist = dist;
+    }
+  }
+  if (best.valid() && best_score < classic_score) return {best, true};
+  return {classic, false};
+}
+
+/// Chord's raw progress candidates: every finger, then every successor,
+/// strictly inside (self, target), repeats kept.
+std::vector<NodeInfo> RawChordCandidates(const ChordRouting& table,
+                                         Key target) {
+  std::vector<NodeInfo> out;
+  NodeInfo self = table.self();
+  auto consider = [&](const NodeInfo& n) {
+    if (n.valid() && n.host != self.host &&
+        InOpenOpen(self.id, target, n.id)) {
+      out.push_back(n);
+    }
+  };
+  for (size_t i = 0; i < ChordRouting::kNumFingers; ++i) {
+    consider(table.finger(i));
+  }
+  for (const NodeInfo& s : table.successor_list()) consider(s);
+  return out;
+}
+
+/// Bamboo's progress candidates: every known peer that is numerically
+/// closer to the target and keeps the shared prefix.
+std::vector<NodeInfo> RawBambooCandidates(const BambooRouting& table,
+                                          Key target) {
+  std::vector<NodeInfo> out;
+  NodeInfo self = table.self();
+  Key mine = RingDistance(self.id, target);
+  int prefix = BambooRouting::SharedPrefixDigits(self.id, target);
+  for (const NodeInfo& n : table.KnownPeers()) {
+    if (RingDistance(n.id, target) < mine &&
+        BambooRouting::SharedPrefixDigits(n.id, target) >= prefix) {
+      out.push_back(n);
+    }
+  }
+  return out;
+}
+
+std::vector<NodeInfo> RandomMembers(Rng* rng, size_t n) {
+  std::vector<NodeInfo> members;
+  for (size_t i = 0; i < n; ++i) {
+    members.push_back({rng->Next(), static_cast<sim::HostId>(i)});
+  }
+  std::sort(members.begin(), members.end(),
+            [](const NodeInfo& a, const NodeInfo& b) { return a.id < b.id; });
+  return members;
+}
+
+/// Random per-host loads: some hosts idle, others over one or more of
+/// the message, byte and latency slacks.
+std::vector<sim::DestinationLoad> RandomLoads(Rng* rng, size_t n) {
+  std::vector<sim::DestinationLoad> loads(n);
+  for (auto& l : loads) {
+    if (rng->NextBelow(4) == 0) continue;
+    l.in_flight_messages = static_cast<uint32_t>(rng->NextBelow(12));
+    if (rng->NextBelow(3) == 0) l.in_flight_bytes = rng->NextBelow(200 * 1024);
+    if (rng->NextBelow(3) == 0) {
+      l.smoothed_latency = rng->NextBelow(600) * sim::kMillisecond;
+    }
+  }
+  return loads;
+}
+
+/// Targets that hit every branch: random keys, member ids, self's id.
+Key RandomTarget(Rng* rng, const std::vector<NodeInfo>& members,
+                 const NodeInfo& self) {
+  switch (rng->NextBelow(8)) {
+    case 0:
+      return self.id;
+    case 1:
+      return members[rng->NextBelow(members.size())].id;
+    case 2:
+      return members[rng->NextBelow(members.size())].id + 1;
+    default:
+      return rng->Next();
+  }
+}
+
+void ExpectNoRepeatedHost(const std::vector<NodeInfo>& cands) {
+  std::set<sim::HostId> hosts;
+  for (const NodeInfo& c : cands) {
+    EXPECT_TRUE(hosts.insert(c.host).second) << "host " << c.host;
+  }
+}
+
+TEST(NextHopEquivalenceTest, ChordMatchesQuadraticReference) {
+  auto aware = MakeNextHopPolicy(RoutingPolicyKind::kCongestionAware);
+  Rng rng(2024);
+  size_t detours = 0, choices = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    size_t n = 2 + rng.NextBelow(300);
+    std::vector<NodeInfo> members = RandomMembers(&rng, n);
+    ChordRouting table(members[rng.NextBelow(n)], 1 + rng.NextBelow(8));
+    table.BuildStatic(members);
+    // Perturb away from the canonical static table: evictions leave holes
+    // and repeats, random fingers point anywhere.
+    for (size_t k = rng.NextBelow(6); k > 0; --k) {
+      sim::HostId victim = members[rng.NextBelow(n)].host;
+      if (victim != table.self().host) table.RemovePeer(victim);
+    }
+    for (size_t k = rng.NextBelow(10); k > 0; --k) {
+      table.SetFinger(rng.NextBelow(ChordRouting::kNumFingers),
+                      members[rng.NextBelow(n)]);
+    }
+    std::vector<sim::DestinationLoad> loads = RandomLoads(&rng, n);
+    LoadProbe probe = [&](sim::HostId h) { return loads[h]; };
+    for (int q = 0; q < 200; ++q) {
+      Key target = RandomTarget(&rng, members, table.self());
+      std::vector<NodeInfo> cands;
+      table.AppendProgressCandidates(target, &cands);
+      ExpectNoRepeatedHost(cands);
+      NextHopChoice want = ReferenceChoose(
+          table, target, RawChordCandidates(table, target), probe);
+      NextHopChoice got = aware->Choose(table, target, probe);
+      ASSERT_EQ(got.next, want.next) << "trial " << trial << " q " << q;
+      ASSERT_EQ(got.detour, want.detour) << "trial " << trial << " q " << q;
+      detours += got.detour ? 1 : 0;
+      ++choices;
+    }
+  }
+  // Both outcomes were exercised, so the equivalence is not vacuous.
+  EXPECT_GT(detours, 100u);
+  EXPECT_GT(choices - detours, 100u);
+}
+
+TEST(NextHopEquivalenceTest, BambooMatchesQuadraticReference) {
+  auto aware = MakeNextHopPolicy(RoutingPolicyKind::kCongestionAware);
+  Rng rng(4048);
+  size_t detours = 0, choices = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    // Every third ring is small enough that a peer can be both a
+    // clockwise and a counter-clockwise leaf.
+    size_t n = 2 + rng.NextBelow(trial % 3 == 0 ? 10 : 300);
+    std::vector<NodeInfo> members = RandomMembers(&rng, n);
+    BambooRouting table(members[rng.NextBelow(n)], 1 + rng.NextBelow(6));
+    table.BuildStatic(members);
+    for (size_t k = rng.NextBelow(6); k > 0; --k) {
+      sim::HostId victim = members[rng.NextBelow(n)].host;
+      if (victim != table.self().host) table.RemovePeer(victim);
+    }
+    std::vector<sim::DestinationLoad> loads = RandomLoads(&rng, n);
+    LoadProbe probe = [&](sim::HostId h) { return loads[h]; };
+    for (int q = 0; q < 200; ++q) {
+      Key target = RandomTarget(&rng, members, table.self());
+      std::vector<NodeInfo> cands;
+      table.AppendProgressCandidates(target, &cands);
+      ExpectNoRepeatedHost(cands);
+      std::vector<NodeInfo> raw = RawBambooCandidates(table, target);
+      // The same candidate set as the reference, each host once.
+      auto by_host = [](const NodeInfo& a, const NodeInfo& b) {
+        return a.host < b.host;
+      };
+      std::vector<NodeInfo> sorted_cands = cands, sorted_raw = raw;
+      std::sort(sorted_cands.begin(), sorted_cands.end(), by_host);
+      std::sort(sorted_raw.begin(), sorted_raw.end(), by_host);
+      ASSERT_EQ(sorted_cands, sorted_raw) << "trial " << trial;
+      NextHopChoice want = ReferenceChoose(table, target, raw, probe);
+      NextHopChoice got = aware->Choose(table, target, probe);
+      ASSERT_EQ(got.next, want.next) << "trial " << trial << " q " << q;
+      ASSERT_EQ(got.detour, want.detour) << "trial " << trial << " q " << q;
+      detours += got.detour ? 1 : 0;
+      ++choices;
+    }
+  }
+  EXPECT_GT(detours, 100u);
+  EXPECT_GT(choices - detours, 100u);
 }
 
 // --- End-to-end detours ----------------------------------------------------
