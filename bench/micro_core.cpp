@@ -31,6 +31,7 @@
 #include "dht/local_store.h"
 #include "dht/ring_oracle.h"
 #include "gnutella/index.h"
+#include "gnutella/node.h"
 #include "pier/node.h"
 #include "pier/ops.h"
 #include "pier/tuple_batch.h"
@@ -1796,7 +1797,8 @@ static void BM_Robust_AdmissionOverload(benchmark::State& state) {
 }
 BENCHMARK(BM_Robust_AdmissionOverload)->Unit(benchmark::kMillisecond);
 
-static void BM_KeywordIndexMatch(benchmark::State& state) {
+/// 20,000 files: "artist<0..499> title<i> common.mp3".
+static gnutella::KeywordIndex MatchBenchIndex() {
   gnutella::KeywordIndex index;
   Rng rng(6);
   for (size_t i = 0; i < 20000; ++i) {
@@ -1807,12 +1809,55 @@ static void BM_KeywordIndexMatch(benchmark::State& state) {
     f.file_id = i;
     index.Add(f, static_cast<sim::HostId>(i % 100));
   }
+  return index;
+}
+
+static void BM_KeywordIndexMatch(benchmark::State& state) {
+  gnutella::KeywordIndex index = MatchBenchIndex();
   std::vector<std::string> query{"artist42", "common"};
   for (auto _ : state) {
     benchmark::DoNotOptimize(index.Match(query));
   }
 }
 BENCHMARK(BM_KeywordIndexMatch);
+
+// Three terms, one of which no file has: the answer is empty, and the cost
+// is the posting lookups alone.
+static void BM_KeywordIndexMatch_MissingTerm(benchmark::State& state) {
+  gnutella::KeywordIndex index = MatchBenchIndex();
+  std::vector<std::string> query{"artist42", "common", "nowhere"};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(index.Match(query));
+  }
+}
+BENCHMARK(BM_KeywordIndexMatch_MissingTerm);
+
+// An ultrapeer's reverse-path table at capacity: each iteration remembers
+// a fresh GUID (evicting the oldest) and looks up a recent one, the
+// per-query work of a flood hop. `table_bytes` is the table's footprint.
+static void BM_GuidRoutes_Steady(benchmark::State& state) {
+  const size_t capacity = static_cast<size_t>(state.range(0));
+  gnutella::GuidRoutes routes(capacity);
+  Rng rng(17);
+  std::vector<gnutella::Guid> recent(1024);
+  for (size_t i = 0; i < capacity; ++i) {
+    gnutella::Guid g = rng.Next();
+    recent[i % recent.size()] = g;
+    routes.Remember(g, static_cast<sim::HostId>(i % 200));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    gnutella::Guid g = rng.Next();
+    routes.Remember(g, static_cast<sim::HostId>(i % 200));
+    recent[i % recent.size()] = g;
+    benchmark::DoNotOptimize(
+        routes.RouteOf(recent[(i * 7 + 3) % recent.size()]));
+    ++i;
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()));
+  state.counters["table_bytes"] = static_cast<double>(routes.bytes());
+}
+BENCHMARK(BM_GuidRoutes_Steady)->Arg(65536);
 
 // --------------------------------------------------------------------------
 // Shard-parallel event loop (sim/shard.h): wall-clock scaling of a big

@@ -33,10 +33,11 @@
 #         than 24x one into a 64-value key — the CI bench-regression gate.
 #
 # The wall-clock ratios (the timed speedup_vs_pre_refactor pairs,
-# next_hop and publish_path) come from a second, filtered run of just
-# those benchmarks: 5 repetitions in random interleaved order, each ratio
-# taken between the two medians, so one noisy repetition cannot trip a
-# floor.
+# next_hop, publish_path and the shard_scale speedups) come from a second,
+# filtered run of just those benchmarks (the shard_scale ones in a third
+# process): 5 repetitions in random interleaved order, each ratio taken
+# between the two medians, so one noisy repetition cannot trip a floor.
+# The shard_scale fingerprints come from the first run.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -84,14 +85,28 @@ TIMED=$(mktemp)
   --benchmark_out="$TIMED" \
   --benchmark_out_format=json >/dev/null
 
-python3 - "$RAW" "$TIMED" "$REPO_ROOT/BENCH_core.json" <<'EOF'
+# The shard-scale runs, repeated the same way in a process of their own:
+# their 10k-node deployments slow the small timed pairs run after them.
+SHARD_TIMED=$(mktemp)
+"$BUILD_DIR/micro_core" \
+  --benchmark_filter='^BM_ShardScale_(Serial|Shards4|Shards8)/[0-9]+$' \
+  --benchmark_repetitions=5 \
+  --benchmark_enable_random_interleaving=true \
+  --benchmark_min_time="$MIN_TIME" \
+  --benchmark_format=json \
+  --benchmark_out="$SHARD_TIMED" \
+  --benchmark_out_format=json >/dev/null
+
+python3 - "$RAW" "$TIMED" "$SHARD_TIMED" "$REPO_ROOT/BENCH_core.json" <<'EOF'
 import json, sys
 
-raw_path, timed_path, out_path = sys.argv[1], sys.argv[2], sys.argv[3]
+raw_path, out_path = sys.argv[1], sys.argv[-1]
 with open(raw_path) as f:
     raw = json.load(f)
-with open(timed_path) as f:
-    timed = json.load(f)
+timed = {"benchmarks": []}
+for timed_path in sys.argv[2:-1]:
+    with open(timed_path) as f:
+        timed["benchmarks"] += json.load(f).get("benchmarks", [])
 
 by_name = {}
 for b in raw.get("benchmarks", []):
@@ -108,9 +123,11 @@ def items_per_sec(name):
     b = median.get(name)
     return b.get("items_per_second") if b else None
 
+NS_PER_UNIT = {"ns": 1, "us": 1e3, "ms": 1e6, "s": 1e9}
+
 def median_cpu_ns(name):
     b = median.get(name)
-    return b.get("cpu_time") if b else None
+    return b["cpu_time"] * NS_PER_UNIT[b["time_unit"]] if b else None
 
 def counter(name, key):
     b = by_name.get(name)
@@ -286,7 +303,8 @@ robustness = {
 # loop over a big static deployment. The fingerprint (events, clock,
 # messages, bytes, delivered routes, hops — folded to 50 bits so it rides
 # a json double exactly) must be identical across backends: the sharded
-# loop may only be faster than serial, never different.
+# loop may only be faster than serial, never different. Times and
+# speedups are medians of the interleaved repetitions.
 def shard_scale_section():
     out = {}
     for b in raw.get("benchmarks", []):
@@ -295,16 +313,17 @@ def shard_scale_section():
             continue
         size = name.split("/", 1)[1]
         serial = b
-        entry = {"serial_ms": round(serial.get("real_time") or 0.0, 1)}
+        serial_ms = (median.get(name) or {}).get("real_time")
+        entry = {"serial_ms": round(serial_ms or 0.0, 1)}
         for label in ("shards4", "shards8"):
-            sb = by_name.get("BM_ShardScale_Shards%s/%s" %
-                             (label[-1], size))
+            sharded = "BM_ShardScale_Shards%s/%s" % (label[-1], size)
+            sb = by_name.get(sharded)
             if not sb:
                 continue
-            entry[label + "_ms"] = round(sb.get("real_time") or 0.0, 1)
-            if sb.get("real_time"):
-                entry["speedup_" + label] = round(
-                    serial["real_time"] / sb["real_time"], 2)
+            sharded_ms = (median.get(sharded) or {}).get("real_time")
+            entry[label + "_ms"] = round(sharded_ms or 0.0, 1)
+            if serial_ms and sharded_ms:
+                entry["speedup_" + label] = round(serial_ms / sharded_ms, 2)
             entry[label + "_fingerprint_identical"] = (
                 sb.get("fingerprint") == serial.get("fingerprint") and
                 sb.get("events") == serial.get("events"))
@@ -348,6 +367,26 @@ def publish_path_section():
 
 publish_path = publish_path_section()
 
+# Gnutella query hot path: a two-term keyword match, a three-term one whose
+# third term no file has, and the reverse-path table at capacity (one
+# remember and one lookup per iteration). Recorded, not gated.
+def gnutella_section():
+    out = {}
+    for key, name in (
+            ("keyword_match_ns", "BM_KeywordIndexMatch"),
+            ("keyword_match_missing_term_ns",
+             "BM_KeywordIndexMatch_MissingTerm"),
+            ("guid_routes_steady_ns_65536", "BM_GuidRoutes_Steady/65536")):
+        b = by_name.get(name)
+        if b:
+            out[key] = round(b["cpu_time"], 1)
+    table_bytes = counter("BM_GuidRoutes_Steady/65536", "table_bytes")
+    if table_bytes:
+        out["guid_routes_table_bytes_65536"] = int(table_bytes)
+    return out
+
+gnutella = gnutella_section()
+
 ratios = {
     "shj_insert_with_matches": ratio(
         "BM_ShjInsertWithMatches_SharedPayload/4096",
@@ -376,11 +415,12 @@ out = {
     "shard_scale": shard_scale,
     "next_hop": next_hop,
     "publish_path": publish_path,
+    "gnutella": gnutella,
     "timed_medians": {
         "repetitions": 5,
         "interleaved": True,
-        "cpu_ns": {name: round(b["cpu_time"], 1)
-                   for name, b in sorted(median.items())},
+        "cpu_ns": {name: round(median_cpu_ns(name), 1)
+                   for name in sorted(median)},
     },
     "join_chain": chain,
     "fetch_coalescing": fetch,
@@ -401,6 +441,7 @@ print("  query robustness:", robustness)
 print("  shard scale:", shard_scale)
 print("  next hop:", next_hop)
 print("  publish path:", publish_path)
+print("  gnutella:", gnutella)
 for label, s in (("join chain", chain), ("fetch coalescing", fetch),
                  ("rehash queues", publish)):
     if "message_reduction" in s:
@@ -408,7 +449,7 @@ for label, s in (("join chain", chain), ("fetch coalescing", fetch),
                                                s["message_reduction"]))
 EOF
 
-rm -f "$RAW" "$TIMED"
+rm -f "$RAW" "$TIMED" "$SHARD_TIMED"
 
 if [ "$CHECK" = "1" ]; then
   python3 - "$REPO_ROOT/BENCH_core.json" <<'EOF'

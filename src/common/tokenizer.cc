@@ -45,13 +45,14 @@ std::vector<std::string> SplitTerms(std::string_view text) {
 
 std::vector<std::string> ExtractKeywords(std::string_view filename,
                                          size_t min_len) {
-  std::vector<std::string> out;
+  // Filter the split terms in place rather than copying the keepers out.
+  std::vector<std::string> out = SplitTerms(filename);
   const auto& stop = DefaultStopWords();
-  for (auto& t : SplitTerms(filename)) {
-    if (t.size() < min_len) continue;
-    if (stop.count(t)) continue;
-    out.push_back(std::move(t));
-  }
+  out.erase(std::remove_if(out.begin(), out.end(),
+                           [&](const std::string& t) {
+                             return t.size() < min_len || stop.count(t) > 0;
+                           }),
+            out.end());
   return out;
 }
 

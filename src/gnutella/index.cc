@@ -2,17 +2,28 @@
 
 #include <algorithm>
 
+#include "common/hashing.h"
 #include "common/tokenizer.h"
 
 namespace pierstack::gnutella {
+namespace {
+
+/// Home slot of a term hash in a table of `mask + 1` slots.
+size_t Home(uint64_t hash, size_t mask) {
+  return static_cast<size_t>((hash * 0x9E3779B97F4A7C15ull) >> 32) & mask;
+}
+
+}  // namespace
 
 void KeywordIndex::Add(const SharedFile& file, sim::HostId owner) {
   uint32_t idx = static_cast<uint32_t>(entries_.size());
   entries_.push_back(Entry{file.file_id, file.filename, file.size_bytes,
                            owner});
   ++live_entries_;
-  for (const auto& term : ExtractUniqueKeywords(file.filename)) {
-    postings_[term].push_back(idx);
+  for (const auto& term : ExtractKeywords(file.filename)) {
+    // A repeated keyword finds `idx` already at the back of its list.
+    auto& list = FindOrInsert(term);
+    if (list.empty() || list.back() != idx) list.push_back(idx);
   }
 }
 
@@ -32,40 +43,46 @@ void KeywordIndex::RemoveOwner(sim::HostId owner) {
 
 std::vector<const KeywordIndex::Entry*> KeywordIndex::Match(
     const std::vector<std::string>& query_terms) const {
-  std::vector<const Entry*> out;
-  // Keep only indexable terms; an all-stop-word query matches nothing.
-  std::vector<std::string> terms;
+  // Resolve each indexable term's posting list once. An all-stop-word query
+  // matches nothing, and a term no entry has empties the conjunction.
+  std::vector<const std::vector<uint32_t>*> lists;
+  lists.reserve(query_terms.size());
   const auto& stop = DefaultStopWords();
   for (const auto& t : query_terms) {
     if (t.size() < 2 || stop.count(t)) continue;
-    terms.push_back(t);
+    const auto* list = Find(t);
+    if (list == nullptr) return {};
+    lists.push_back(list);
   }
-  if (terms.empty()) return out;
+  if (lists.empty()) return {};
 
   // Start from the shortest posting list (the paper's smaller-posting-
-  // lists-first optimization applies locally too).
-  std::sort(terms.begin(), terms.end(),
-            [this](const std::string& a, const std::string& b) {
-              return PostingListSize(a) < PostingListSize(b);
+  // lists-first optimization applies locally too). The lists are ascending
+  // by construction (append order), so the answer's order does not depend
+  // on the order they are intersected in.
+  std::sort(lists.begin(), lists.end(),
+            [](const std::vector<uint32_t>* a, const std::vector<uint32_t>* b) {
+              return a->size() < b->size();
             });
-  auto first = postings_.find(terms[0]);
-  if (first == postings_.end()) return out;
-
   std::vector<uint32_t> candidates;
-  for (uint32_t idx : first->second) {
+  candidates.reserve(lists[0]->size());
+  for (uint32_t idx : *lists[0]) {
     if (Live(idx)) candidates.push_back(idx);
   }
-  for (size_t t = 1; t < terms.size() && !candidates.empty(); ++t) {
-    auto it = postings_.find(terms[t]);
-    if (it == postings_.end()) return {};
-    // Posting lists are sorted by construction (append order).
-    const auto& list = it->second;
-    std::vector<uint32_t> next;
-    next.reserve(candidates.size());
-    std::set_intersection(candidates.begin(), candidates.end(), list.begin(),
-                          list.end(), std::back_inserter(next));
-    candidates = std::move(next);
+  for (size_t t = 1; t < lists.size() && !candidates.empty(); ++t) {
+    // Intersect in place; every list is at least as long as the
+    // candidates, so each is searched rather than merged.
+    const auto& list = *lists[t];
+    auto it = list.begin();
+    size_t kept = 0;
+    for (uint32_t idx : candidates) {
+      it = std::lower_bound(it, list.end(), idx);
+      if (it == list.end()) break;
+      if (*it == idx) candidates[kept++] = idx;
+    }
+    candidates.resize(kept);
   }
+  std::vector<const Entry*> out;
   out.reserve(candidates.size());
   for (uint32_t idx : candidates) out.push_back(&entries_[idx]);
   return out;
@@ -76,9 +93,9 @@ std::vector<const KeywordIndex::Entry*> KeywordIndex::MatchText(
   return Match(SplitTerms(query_text));
 }
 
-size_t KeywordIndex::PostingListSize(const std::string& term) const {
-  auto it = postings_.find(term);
-  return it == postings_.end() ? 0 : it->second.size();
+size_t KeywordIndex::PostingListSize(std::string_view term) const {
+  const auto* list = Find(term);
+  return list == nullptr ? 0 : list->size();
 }
 
 std::vector<const KeywordIndex::Entry*> KeywordIndex::AllEntries() const {
@@ -88,6 +105,44 @@ std::vector<const KeywordIndex::Entry*> KeywordIndex::AllEntries() const {
     if (e.owner != sim::kInvalidHost) out.push_back(&e);
   }
   return out;
+}
+
+size_t KeywordIndex::Probe(std::string_view term, uint64_t hash) const {
+  size_t mask = slots_.size() - 1;
+  for (size_t i = Home(hash, mask);; i = (i + 1) & mask) {
+    const Slot& s = slots_[i];
+    if (s.posting == 0 ||
+        (s.hash == hash && postings_[s.posting - 1].term == term)) {
+      return i;
+    }
+  }
+}
+
+const std::vector<uint32_t>* KeywordIndex::Find(std::string_view term) const {
+  if (slots_.empty()) return nullptr;
+  const Slot& s = slots_[Probe(term, Fnv1a64(term))];
+  return s.posting == 0 ? nullptr : &postings_[s.posting - 1].entries;
+}
+
+std::vector<uint32_t>& KeywordIndex::FindOrInsert(std::string_view term) {
+  if ((postings_.size() + 1) * 2 > slots_.size()) {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(std::max<size_t>(16, old.size() * 2), Slot{});
+    size_t mask = slots_.size() - 1;
+    for (const Slot& s : old) {
+      if (s.posting == 0) continue;
+      size_t i = Home(s.hash, mask);
+      while (slots_[i].posting != 0) i = (i + 1) & mask;
+      slots_[i] = s;
+    }
+  }
+  uint64_t hash = Fnv1a64(term);
+  Slot& s = slots_[Probe(term, hash)];
+  if (s.posting == 0) {
+    postings_.push_back(Posting{std::string(term), {}});
+    s = Slot{hash, static_cast<uint32_t>(postings_.size())};
+  }
+  return postings_[s.posting - 1].entries;
 }
 
 }  // namespace pierstack::gnutella

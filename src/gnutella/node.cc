@@ -13,6 +13,68 @@ uint64_t MakeFileId(const std::string& filename, uint64_t size_bytes,
   return FileId(filename, size_bytes, owner);
 }
 
+size_t GuidRoutes::Probe(Guid guid) const {
+  size_t mask = slots_.size() - 1;
+  size_t i = Home(guid);
+  while (slots_[i].used && slots_[i].guid != guid) i = (i + 1) & mask;
+  return i;
+}
+
+const GuidRoutes::Slot* GuidRoutes::Find(Guid guid) const {
+  if (size_ == 0) return nullptr;
+  const Slot& s = slots_[Probe(guid)];
+  return s.used ? &s : nullptr;
+}
+
+void GuidRoutes::Put(Guid guid, sim::HostId route) {
+  if ((size_ + 1) * 4 > slots_.size() * 3) {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(std::max<size_t>(16, old.size() * 2), Slot{});
+    for (const Slot& s : old) {
+      if (s.used) slots_[Probe(s.guid)] = s;
+    }
+  }
+  Slot& s = slots_[Probe(guid)];
+  if (!s.used) ++size_;
+  s = Slot{guid, route, true};
+}
+
+void GuidRoutes::Erase(Guid guid) {
+  if (size_ == 0) return;
+  size_t i = Probe(guid);
+  if (!slots_[i].used) return;
+  // Backward shift: a later slot of the probe run moves into the hole at
+  // `i` unless its home lies cyclically in (i, j].
+  size_t mask = slots_.size() - 1;
+  for (size_t j = (i + 1) & mask; slots_[j].used; j = (j + 1) & mask) {
+    size_t home = Home(slots_[j].guid);
+    if (((j - home) & mask) >= ((j - i) & mask)) {
+      slots_[i] = slots_[j];
+      i = j;
+    }
+  }
+  slots_[i] = Slot{};
+  --size_;
+}
+
+void GuidRoutes::Remember(Guid guid, sim::HostId route) {
+  Put(guid, route);
+  if (capacity_ == 0) {
+    Erase(guid);
+    return;
+  }
+  if (fifo_.size() < capacity_) {
+    fifo_.push_back(guid);
+    return;
+  }
+  // Full: the oldest GUID is forgotten and `guid` takes its FIFO place.
+  // Evicting after `guid` is recorded forgets the same GUIDs, in the same
+  // order, as joining the FIFO first and then trimming it to capacity.
+  Erase(fifo_[oldest_]);
+  fifo_[oldest_] = guid;
+  if (++oldest_ == capacity_) oldest_ = 0;
+}
+
 GnutellaNode::GnutellaNode(sim::Network* network, Role role,
                            const GnutellaConfig* config,
                            GnutellaMetrics* metrics, uint64_t seed)
@@ -20,7 +82,8 @@ GnutellaNode::GnutellaNode(sim::Network* network, Role role,
       role_(role),
       config_(config),
       metrics_(metrics),
-      rng_(seed) {
+      rng_(seed),
+      guid_routes_(config->guid_route_capacity) {
   assert(network != nullptr && config != nullptr && metrics != nullptr);
   host_ = network->AddHost(this);
 }
@@ -115,13 +178,14 @@ bool GnutellaNode::QueryActive(Guid guid) const {
 
 void GnutellaNode::ExecuteQueryAsRoot(Guid guid, const std::string& text) {
   assert(role_ == Role::kUltrapeer);
-  RememberGuid(guid, sim::kInvalidHost);  // never re-process our own flood
+  // Never re-process our own flood.
+  guid_routes_.Remember(guid, sim::kInvalidHost);
   if (query_observer_) query_observer_(guid, text, host_);
   MatchLocally(guid, text, sim::kInvalidHost);
 
   if (config_->query_mode == QueryMode::kFlood) {
-    QueryBody q{guid, config_->flood_ttl, 0, text};
-    FloodQuery(q, sim::kInvalidHost);
+    FloodQuery(QueryBody{guid, config_->flood_ttl, 0, text},
+               sim::kInvalidHost);
     return;
   }
   BeginDynamicQuery(guid, text);
@@ -171,17 +235,19 @@ void GnutellaNode::DynamicTick(Guid guid) {
       [this, guid]() { DynamicTick(guid); });
 }
 
-void GnutellaNode::FloodQuery(const QueryBody& q, sim::HostId exclude) {
+void GnutellaNode::FloodQuery(QueryBody q, sim::HostId exclude) {
   if (q.ttl == 0) {
     ++metrics_->ttl_expired;
     return;
   }
+  // Every neighbor receives the same immutable body.
+  size_t bytes = QueryWireBytes(q);
+  sim::Message msg = sim::Message::Make<QueryBody>(kMsgQuery, "gnutella.query",
+                                                   bytes, std::move(q));
   for (sim::HostId n : up_neighbors_) {
     if (n == exclude) continue;
     ++metrics_->query_messages;
-    network_->Send(host_, n,
-                   sim::Message::Make<QueryBody>(kMsgQuery, "gnutella.query",
-                                                 QueryWireBytes(q), q));
+    network_->Send(host_, n, msg);
   }
 }
 
@@ -200,36 +266,8 @@ size_t GnutellaNode::HitWireBytes(const QueryHitBody& h) {
   return bytes;
 }
 
-void GnutellaNode::MatchLocally(Guid guid, const std::string& text,
-                                sim::HostId reply_to) {
-  // QRP: forward the query to leaves whose keyword Bloom filter matches
-  // every term; they answer for themselves and the hit rides the normal
-  // reverse path through us.
-  if (!leaf_blooms_.empty()) {
-    std::vector<std::string> terms;
-    const auto& stop = DefaultStopWords();
-    for (auto& t : SplitTerms(text)) {
-      if (t.size() < 2 || stop.count(t)) continue;
-      terms.push_back(std::move(t));
-    }
-    if (!terms.empty()) {
-      auto origin = guid_routes_.find(guid);
-      sim::HostId origin_host =
-          origin != guid_routes_.end() ? origin->second : sim::kInvalidHost;
-      for (const auto& [leaf, bloom] : leaf_blooms_) {
-        if (leaf == origin_host) continue;  // don't echo to the asker
-        if (!bloom.MayContainAll(terms)) continue;
-        ++metrics_->qrp_leaf_forwards;
-        network_->Send(host_, leaf,
-                       sim::Message::Make<LeafForwardBody>(
-                           kMsgLeafForwardQuery, "gnutella.query",
-                           25 + text.size(), LeafForwardBody{guid, text}));
-      }
-    }
-  }
-
-  auto matches = index_.MatchText(text);
-  if (matches.empty()) return;
+sim::Message GnutellaNode::MakeHit(
+    Guid guid, const std::vector<const KeywordIndex::Entry*>& matches) {
   QueryHitBody hit;
   hit.guid = guid;
   hit.results.reserve(matches.size());
@@ -237,20 +275,51 @@ void GnutellaNode::MatchLocally(Guid guid, const std::string& text,
     hit.results.push_back(
         QueryResult{e->file_id, e->filename, e->size_bytes, e->owner});
   }
+  // The two last arguments are unsequenced: where `hit` is moved into the
+  // parameter first (GCC), the hit is charged its 34-byte preamble alone.
+  // Every recorded byte metric rests on that charge; sizing `hit` before
+  // the move is a separate, metric-changing fix (see CHANGES.md).
+  return sim::Message::Make<QueryHitBody>(kMsgQueryHit, "gnutella.hit",
+                                          HitWireBytes(hit), std::move(hit));
+}
+
+void GnutellaNode::MatchLocally(Guid guid, const std::string& text,
+                                sim::HostId reply_to) {
+  // The text is tokenized once, for both QRP and the index.
+  std::vector<std::string> terms = ExtractKeywords(text);
+
+  // QRP: forward the query to leaves whose keyword Bloom filter matches
+  // every term; they answer for themselves and the hit rides the normal
+  // reverse path through us.
+  if (!leaf_blooms_.empty() && !terms.empty()) {
+    sim::HostId origin_host = guid_routes_.RouteOf(guid);
+    for (const auto& [leaf, bloom] : leaf_blooms_) {
+      if (leaf == origin_host) continue;  // don't echo to the asker
+      if (!bloom.MayContainAll(terms)) continue;
+      ++metrics_->qrp_leaf_forwards;
+      network_->Send(host_, leaf,
+                     sim::Message::Make<LeafForwardBody>(
+                         kMsgLeafForwardQuery, "gnutella.query",
+                         25 + text.size(), LeafForwardBody{guid, text}));
+    }
+  }
+
+  auto matches = index_.Match(terms);
+  if (matches.empty()) return;
+  sim::Message hit = MakeHit(guid, matches);
   if (reply_to == sim::kInvalidHost) {
     // We are the query root: deliver straight up the local path.
-    DeliverOrForwardHit(guid, std::move(hit.results));
+    DeliverOrForwardHit(hit);
   } else {
     ++metrics_->query_hit_messages;
-    network_->Send(host_, reply_to,
-                   sim::Message::Make<QueryHitBody>(
-                       kMsgQueryHit, "gnutella.hit", HitWireBytes(hit),
-                       std::move(hit)));
+    network_->Send(host_, reply_to, std::move(hit));
   }
 }
 
-void GnutellaNode::DeliverOrForwardHit(Guid guid,
-                                       std::vector<QueryResult> results) {
+void GnutellaNode::DeliverOrForwardHit(const sim::Message& hit_msg) {
+  const auto& hit = hit_msg.as<QueryHitBody>();
+  Guid guid = hit.guid;
+  const std::vector<QueryResult>& results = hit.results;
   // Count toward an active dynamic query rooted here.
   auto dq = dq_states_.find(guid);
   if (dq != dq_states_.end()) dq->second.results += results.size();
@@ -261,10 +330,10 @@ void GnutellaNode::DeliverOrForwardHit(Guid guid,
     // indexed by several of its ultrapeers) and drop our own files, which
     // can echo back through a secondary parent ultrapeer.
     std::vector<QueryResult> fresh;
-    for (auto& r : results) {
+    for (const auto& r : results) {
       if (r.owner == host_) continue;
       if (local->second.seen_file_ids.insert(r.file_id).second) {
-        fresh.push_back(std::move(r));
+        fresh.push_back(r);
       }
     }
     if (hit_observer_) {
@@ -277,31 +346,16 @@ void GnutellaNode::DeliverOrForwardHit(Guid guid,
     return;
   }
 
-  auto route = guid_routes_.find(guid);
-  if (route == guid_routes_.end() || route->second == sim::kInvalidHost) {
+  sim::HostId route = guid_routes_.RouteOf(guid);
+  if (route == sim::kInvalidHost) {
     return;  // route evicted or unknown: drop the hit
   }
-  QueryHitBody hit{guid, std::move(results)};
   if (hit_observer_) {
-    hit_observer_(guid, hit.results, 0);
+    hit_observer_(guid, results, 0);
   }
+  // The next hop receives the same body, results and all.
   ++metrics_->query_hit_messages;
-  network_->Send(host_, route->second,
-                 sim::Message::Make<QueryHitBody>(kMsgQueryHit, "gnutella.hit",
-                                                  HitWireBytes(hit),
-                                                  std::move(hit)));
-}
-
-void GnutellaNode::RememberGuid(Guid guid, sim::HostId from) {
-  seen_guids_.insert(guid);
-  guid_routes_[guid] = from;
-  guid_fifo_.push_back(guid);
-  while (guid_fifo_.size() > config_->guid_route_capacity) {
-    Guid old = guid_fifo_.front();
-    guid_fifo_.pop_front();
-    seen_guids_.erase(old);
-    guid_routes_.erase(old);
-  }
+  network_->Send(host_, route, hit_msg);
 }
 
 void GnutellaNode::BrowseHost(sim::HostId target, BrowseCallback callback) {
@@ -334,37 +388,36 @@ void GnutellaNode::HandleMessage(sim::HostId from, const sim::Message& msg) {
   switch (msg.type) {
     case kMsgQuery: {
       const auto& q = msg.as<QueryBody>();
-      if (SeenGuid(q.guid)) {
+      if (guid_routes_.Contains(q.guid)) {
         ++metrics_->duplicate_queries;
         return;
       }
-      RememberGuid(q.guid, from);
+      guid_routes_.Remember(q.guid, from);
       if (query_observer_) query_observer_(q.guid, q.text, from);
       MatchLocally(q.guid, q.text, from);
       if (q.ttl > 1) {
-        QueryBody fwd{q.guid, static_cast<uint8_t>(q.ttl - 1),
-                      static_cast<uint8_t>(q.hops + 1), q.text};
-        FloodQuery(fwd, from);
+        FloodQuery(QueryBody{q.guid, static_cast<uint8_t>(q.ttl - 1),
+                             static_cast<uint8_t>(q.hops + 1), q.text},
+                   from);
       } else {
         ++metrics_->ttl_expired;
       }
       return;
     }
     case kMsgQueryHit: {
-      const auto& h = msg.as<QueryHitBody>();
-      DeliverOrForwardHit(h.guid, h.results);
+      DeliverOrForwardHit(msg);
       return;
     }
     case kMsgLeafQuery: {
       // A leaf asks us to run a query on its behalf.
       const auto& q = msg.as<LeafQueryBody>();
-      if (SeenGuid(q.guid)) return;
-      RememberGuid(q.guid, from);  // hits route back to the leaf
+      if (guid_routes_.Contains(q.guid)) return;
+      guid_routes_.Remember(q.guid, from);  // hits route back to the leaf
       if (query_observer_) query_observer_(q.guid, q.text, from);
       MatchLocally(q.guid, q.text, sim::kInvalidHost);
       if (config_->query_mode == QueryMode::kFlood) {
-        QueryBody body{q.guid, config_->flood_ttl, 0, q.text};
-        FloodQuery(body, sim::kInvalidHost);
+        FloodQuery(QueryBody{q.guid, config_->flood_ttl, 0, q.text},
+                   sim::kInvalidHost);
       } else {
         BeginDynamicQuery(q.guid, q.text);
       }
@@ -399,18 +452,8 @@ void GnutellaNode::HandleMessage(sim::HostId from, const sim::Message& msg) {
         ++metrics_->qrp_false_positives;
         return;
       }
-      QueryHitBody hit;
-      hit.guid = fwd.guid;
-      hit.results.reserve(matches.size());
-      for (const auto* e : matches) {
-        hit.results.push_back(
-            QueryResult{e->file_id, e->filename, e->size_bytes, e->owner});
-      }
       ++metrics_->query_hit_messages;
-      network_->Send(host_, from,
-                     sim::Message::Make<QueryHitBody>(
-                         kMsgQueryHit, "gnutella.hit", HitWireBytes(hit),
-                         std::move(hit)));
+      network_->Send(host_, from, MakeHit(fwd.guid, matches));
       return;
     }
     case kMsgBrowseReq: {

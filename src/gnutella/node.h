@@ -11,7 +11,6 @@
 //    returns the neighbor list (Section 4.1's topology crawl).
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -26,6 +25,60 @@
 #include "gnutella/types.h"
 
 namespace pierstack::gnutella {
+
+/// A node's reverse-path table: every GUID it has processed, with the host
+/// the query came from (kInvalidHost for a query rooted here). The GUIDs
+/// live in a flat open-addressing table (linear probing, backward-shift
+/// deletion, doubled on demand) beside a FIFO of remember order; once the
+/// FIFO holds more than `capacity` GUIDs its oldest one is forgotten.
+class GuidRoutes {
+ public:
+  explicit GuidRoutes(size_t capacity) : capacity_(capacity) {}
+
+  /// Records `route` for `guid`, replacing an earlier route, then evicts
+  /// the FIFO's oldest GUID if it now holds more than `capacity`. A GUID
+  /// remembered twice takes two FIFO places and is forgotten at the first.
+  void Remember(Guid guid, sim::HostId route);
+
+  bool Contains(Guid guid) const { return Find(guid) != nullptr; }
+
+  /// The route recorded for `guid`, or kInvalidHost when it is unknown.
+  sim::HostId RouteOf(Guid guid) const {
+    const Slot* s = Find(guid);
+    return s == nullptr ? sim::kInvalidHost : s->route;
+  }
+
+  /// GUIDs currently remembered.
+  size_t size() const { return size_; }
+
+  /// Bytes held by the table and the FIFO.
+  size_t bytes() const {
+    return slots_.capacity() * sizeof(Slot) + fifo_.capacity() * sizeof(Guid);
+  }
+
+ private:
+  struct Slot {
+    Guid guid = 0;
+    sim::HostId route = sim::kInvalidHost;
+    bool used = false;
+  };
+
+  size_t Home(Guid guid) const {
+    return static_cast<size_t>((guid * 0x9E3779B97F4A7C15ull) >> 32) &
+           (slots_.size() - 1);
+  }
+  /// Slot index where `guid` sits or would be inserted.
+  size_t Probe(Guid guid) const;
+  const Slot* Find(Guid guid) const;
+  void Put(Guid guid, sim::HostId route);
+  void Erase(Guid guid);
+
+  size_t capacity_;
+  std::vector<Slot> slots_;  // power-of-two size, load <= 3/4
+  size_t size_ = 0;
+  std::vector<Guid> fifo_;   // remember order; a ring once at capacity
+  size_t oldest_ = 0;        // FIFO index of the oldest GUID
+};
 
 class GnutellaNode : public sim::Host {
  public:
@@ -165,17 +218,18 @@ class GnutellaNode : public sim::Host {
     return 23 + 2 + q.text.size();  // Gnutella header + min speed + text
   }
   static size_t HitWireBytes(const QueryHitBody& h);
+  /// A kMsgQueryHit message carrying `matches` as results for `guid`.
+  static sim::Message MakeHit(
+      Guid guid, const std::vector<const KeywordIndex::Entry*>& matches);
 
   void ExecuteQueryAsRoot(Guid guid, const std::string& text);
   void BeginDynamicQuery(Guid guid, const std::string& text);
-  void FloodQuery(const QueryBody& q, sim::HostId exclude);
+  void FloodQuery(QueryBody q, sim::HostId exclude);
   void SendQueryTo(sim::HostId neighbor, Guid guid, const std::string& text,
                    uint8_t ttl);
   void MatchLocally(Guid guid, const std::string& text, sim::HostId reply_to);
-  void DeliverOrForwardHit(Guid guid, std::vector<QueryResult> results);
+  void DeliverOrForwardHit(const sim::Message& hit_msg);
   void DynamicTick(Guid guid);
-  void RememberGuid(Guid guid, sim::HostId from);
-  bool SeenGuid(Guid guid) const { return seen_guids_.count(guid) > 0; }
 
   sim::Network* network_;
   Role role_;
@@ -193,9 +247,7 @@ class GnutellaNode : public sim::Host {
   // QRP mode: per-leaf keyword Bloom filters instead of full file lists.
   std::unordered_map<sim::HostId, BloomFilter> leaf_blooms_;
 
-  std::unordered_set<Guid> seen_guids_;
-  std::unordered_map<Guid, sim::HostId> guid_routes_;
-  std::deque<Guid> guid_fifo_;  // eviction order for the two maps above
+  GuidRoutes guid_routes_;  // also the duplicate-query filter
 
   std::unordered_map<Guid, LocalQuery> local_queries_;
   std::unordered_map<Guid, DqState> dq_states_;

@@ -133,6 +133,45 @@ TEST(FloodingTest, DuplicateQueriesSuppressed) {
   EXPECT_LT(net.gnutella->metrics().query_messages, 1000u);
 }
 
+// Three fully meshed ultrapeers flood at TTL 3, so a query comes back to
+// its root over the triangle one hop after its neighbors saw it. The root
+// issues a second query at once: with room for one GUID per node, that
+// second GUID evicts the first everywhere, and the first is processed
+// again when it returns; with the default capacity it is a duplicate.
+size_t TimesRootReprocessesItsFirstQuery(size_t guid_route_capacity,
+                                         uint64_t* duplicates) {
+  TopologyConfig c;
+  c.num_ultrapeers = 3;
+  c.num_leaves = 0;
+  c.protocol.ultrapeer_degree = 2;
+  c.protocol.flood_ttl = 3;
+  c.protocol.query_mode = QueryMode::kFlood;
+  c.protocol.guid_route_capacity = guid_route_capacity;
+  c.seed = 3;
+  Net net(c);
+  auto* root = net.gnutella->ultrapeer(0);
+  EXPECT_EQ(root->ultrapeer_neighbors().size(), 2u);
+  Guid first = 0;
+  size_t seen = 0;
+  root->SetQueryObserver([&](Guid g, const std::string&, sim::HostId from) {
+    if (g == first && from != root->host()) ++seen;
+  });
+  net.gnutella->metrics() = GnutellaMetrics{};
+  first = root->StartQuery("first query", [](const auto&) {});
+  root->StartQuery("second query", [](const auto&) {});
+  net.simulator.Run();
+  *duplicates = net.gnutella->metrics().duplicate_queries;
+  return seen;
+}
+
+TEST(FloodingTest, EvictedGuidIsProcessedAgain) {
+  uint64_t dup_default = 0, dup_evicting = 0;
+  EXPECT_EQ(TimesRootReprocessesItsFirstQuery(1 << 16, &dup_default), 0u);
+  EXPECT_GT(dup_default, 0u);
+  EXPECT_GE(TimesRootReprocessesItsFirstQuery(1, &dup_evicting), 1u);
+  EXPECT_LT(dup_evicting, dup_default);
+}
+
 TEST(FloodingTest, TtlBoundsPropagation) {
   auto config = SmallConfig();
   config.protocol.flood_ttl = 1;
